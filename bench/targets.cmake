@@ -34,3 +34,5 @@ uots_add_bench(bench_oracle)           # O1 (CH distance oracle)
 uots_add_bench(bench_ingest)           # I1 (live ingest + compaction)
 uots_add_bench(bench_trip)             # T1 (trip assembly)
 target_link_libraries(bench_trip PRIVATE uots_trip)
+uots_add_bench(bench_wire)             # W1 (wire cache-hit budget)
+target_link_libraries(bench_wire PRIVATE uots_server_lib)

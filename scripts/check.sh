@@ -15,6 +15,11 @@ presets=("$@")
 if [[ $# -eq 0 ]]; then presets=(release asan trace-off); fi
 
 declare -A builddir=([release]=build [asan]=build-asan [trace-off]=build-trace-off)
+# Output checks read the whole stream (`grep ... >/dev/null`, not `grep -q`):
+# under pipefail, `grep -q` exiting at its first match makes a writer still
+# sending (curl) fail with EPIPE, which fails the step although the match
+# was found.
+ordering_tests='*PipelinedRequestsAnswerInOrder:*CacheHitWaits*'
 
 for preset in "${presets[@]}"; do
   echo "==> preset: ${preset}"
@@ -37,6 +42,13 @@ for preset in "${presets[@]}"; do
       --output-on-failure
   fi
   if [[ "${preset}" == "release" || "${preset}" == "asan" ]]; then
+    # Response-ordering repeats: pipelined replies on one connection must
+    # leave in request order however workers and the reactor's cache hits
+    # race. One suite run can pass by luck, so repeat the two ordering
+    # tests until an ordering regression cannot hide as a rare flake.
+    echo "==> ${preset}: response ordering x100"
+    "${builddir[${preset}]}/tests/uots_server_integration_test" \
+      --gtest_filter="${ordering_tests}" --gtest_repeat=100 --gtest_brief=1
     # Snapshot drill: end-to-end through the real tool — build a small
     # snapshot, check it verifies, and run the corruption/round-trip suite
     # with full output. Under asan this sweeps the mmap'd validation paths
@@ -60,7 +72,7 @@ for preset in "${presets[@]}"; do
       --gen-rows=24 --gen-cols=24 --gen-trips=600 --oracle
     "${builddir[${preset}]}/apps/uots_snapshot" verify "${osnap}"
     "${builddir[${preset}]}/apps/uots_snapshot" inspect "${osnap}" \
-      | grep -q "distance oracle"
+      | grep "distance oracle" >/dev/null
     rm -f "${osnap}"
     ctest --preset "${preset}" -R uots_oracle_test --output-on-failure
     # Admin-plane drill: serve a generated city with the admin listener on,
@@ -81,14 +93,14 @@ for preset in "${presets[@]}"; do
       --trajectories=1500 --zipf=0.99 --connections=2 --requests=300 \
       --scrape-admin="${aport}"
     admin="http://127.0.0.1:${aport}"
-    curl -fsS "${admin}/healthz" | grep -q "ok"
-    curl -fsS "${admin}/metrics" | grep -q "^uots_server_requests_total 3"
+    curl -fsS "${admin}/healthz" | grep "ok" >/dev/null
+    curl -fsS "${admin}/metrics" | grep "^uots_server_requests_total 3" >/dev/null
     curl -fsS "${admin}/metrics" \
-      | grep -q "uots_server_request_latency_seconds_bucket"
-    curl -fsS "${admin}/statusz" | grep -q '"fingerprint"'
+      | grep "uots_server_request_latency_seconds_bucket" >/dev/null
+    curl -fsS "${admin}/statusz" | grep '"fingerprint"' >/dev/null
     curl -fsS -X POST "${admin}/tracing?sample=4" \
-      | grep -q '"sample_every":4'
-    curl -fsS "${admin}/slowqueries" | grep -q '"request_id"'
+      | grep '"sample_every":4' >/dev/null
+    curl -fsS "${admin}/slowqueries" | grep '"request_id"' >/dev/null
     kill -TERM "${server_pid}"
     wait "${server_pid}"
     # Live-ingest drill: serve with a compaction path, wire-ingest fresh
@@ -111,17 +123,17 @@ for preset in "${presets[@]}"; do
     "${builddir[${preset}]}/apps/uots_client" --port="${iqport}" \
       --trajectories=1500 --ingest=200 --num-queries=16
     iadmin="http://127.0.0.1:${iaport}"
-    curl -fsS "${iadmin}/statusz" | grep -q '"delta_trajectories":200'
-    curl -fsS -X POST "${iadmin}/compact" | grep -q '"compacting":true'
+    curl -fsS "${iadmin}/statusz" | grep '"delta_trajectories":200' >/dev/null
+    curl -fsS -X POST "${iadmin}/compact" | grep '"compacting":true' >/dev/null
     for _ in $(seq 1 50); do
-      if curl -fsS "${iadmin}/statusz" | grep -q '"compactions":1'; then
+      if curl -fsS "${iadmin}/statusz" | grep '"compactions":1' >/dev/null; then
         break
       fi
       sleep 0.2
     done
-    curl -fsS "${iadmin}/statusz" | grep -q '"compactions":1'
+    curl -fsS "${iadmin}/statusz" | grep '"compactions":1' >/dev/null
     curl -fsS "${iadmin}/metrics" \
-      | grep -q "^uots_server_ingest_accepted_trips_total 200"
+      | grep "^uots_server_ingest_accepted_trips_total 200" >/dev/null
     "${builddir[${preset}]}/apps/uots_snapshot" verify "${isnap}"
     "${builddir[${preset}]}/apps/uots_client" --port="${iqport}" \
       --dataset="${isnap}" --verify --num-queries=16
@@ -150,8 +162,8 @@ for preset in "${presets[@]}"; do
       --requests=200 --scrape-admin="${taport}" \
       --json-out="${builddir[${preset}]}/check-trip.json"
     curl -fsS "http://127.0.0.1:${taport}/metrics" \
-      | grep -q "uots_trip_plan_seconds_bucket"
-    curl -fsS "http://127.0.0.1:${taport}/slowqueries" | grep -q '"segments"'
+      | grep "uots_trip_plan_seconds_bucket" >/dev/null
+    curl -fsS "http://127.0.0.1:${taport}/slowqueries" | grep '"segments"' >/dev/null
     kill -TERM "${trip_pid}"
     wait "${trip_pid}"
     rm -f "${builddir[${preset}]}/check-trip.json"

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <utility>
 
 namespace uots {
 
@@ -47,6 +48,20 @@ void Connection::QueueFrame(std::string_view payload) {
   }
   AppendFrame(payload, &out_);
   ++stats_.frames_out;
+}
+
+void Connection::QueueResponse(uint64_t seq, std::string body) {
+  if (seq != next_write_seq_) {
+    parked_.emplace(seq, std::move(body));
+    return;
+  }
+  QueueFrame(body);
+  ++next_write_seq_;
+  while (!parked_.empty() && parked_.begin()->first == next_write_seq_) {
+    QueueFrame(parked_.begin()->second);
+    parked_.erase(parked_.begin());
+    ++next_write_seq_;
+  }
 }
 
 Connection::IoResult Connection::Flush() {

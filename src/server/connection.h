@@ -4,12 +4,19 @@
 // byte stream, and the outbound buffer. It performs the raw reads/writes;
 // everything above (frame handling, timers, epoll registration) belongs to
 // the server, which is the only thread that ever touches a Connection.
+//
+// Responses leave in request order. Each inbound frame takes the next
+// sequence number when it is read, and a response is queued for writing
+// only once the responses to every earlier frame have been; one that is
+// ready early (a cache hit behind a miss, a fast worker behind a slow one)
+// is parked until its turn. With one request in flight nothing ever parks.
 
 #ifndef UOTS_SERVER_CONNECTION_H_
 #define UOTS_SERVER_CONNECTION_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 
@@ -52,8 +59,13 @@ class Connection {
   /// The inbound frame stream; Poll after every ReadAvailable.
   FrameDecoder& decoder() { return decoder_; }
 
-  /// Queues one response frame; call Flush (or wait for writability).
-  void QueueFrame(std::string_view payload);
+  /// Numbers the next inbound frame (call once per frame, in read order).
+  uint64_t NextRequestSeq() { return next_read_seq_++; }
+
+  /// Queues the response to frame `seq` behind those of all earlier frames,
+  /// parking it until they are queued; call Flush (or wait for
+  /// writability). Every sequence number must be answered exactly once.
+  void QueueResponse(uint64_t seq, std::string body);
 
   /// Writes as much buffered output as the socket accepts.
   IoResult Flush();
@@ -74,11 +86,17 @@ class Connection {
   bool close_after_flush = false;
 
  private:
+  /// Appends one frame to the outbound buffer.
+  void QueueFrame(std::string_view payload);
+
   uint64_t id_;
   int fd_;
   FrameDecoder decoder_;
   std::string out_;
   size_t out_offset_ = 0;
+  uint64_t next_read_seq_ = 0;   ///< sequence number of the next frame read
+  uint64_t next_write_seq_ = 0;  ///< frame whose response is queued next
+  std::map<uint64_t, std::string> parked_;  ///< early responses, by seq
   ConnectionStats stats_;
 };
 

@@ -1,5 +1,6 @@
 #include "server/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -99,13 +100,30 @@ void JsonAppendDouble(double v, std::string* out) {
     *out += "null";
     return;
   }
-  char buf[40];
-  // Try the shortest representation that still round-trips exactly.
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
+  char buf[32];  // "-1.7976931348623157e+308" is the longest form (24)
+  char* end;
+  if (std::abs(v) < 1e15 && v == std::trunc(v) &&
+      !(v == 0 && std::signbit(v))) {
+    // Integral and under 1e15: %.15g prints exactly the integer's digits
+    // (no exponent, no fraction), which the integer path writes directly.
+    // -0.0 is excluded because %g keeps its sign.
+    end = std::to_chars(buf, buf + sizeof(buf), static_cast<int64_t>(v)).ptr;
+  } else {
+    // The shortest of %.15g, %.16g, %.17g that reads back exactly. The
+    // precision overload of to_chars is specified as printf("%.*g") in the
+    // "C" locale, so these are the bytes snprintf would produce, without
+    // its locale lookup and format parsing.
+    for (int prec = 15;; ++prec) {
+      end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                          prec)
+                .ptr;
+      if (prec == 17) break;
+      double back;
+      const std::from_chars_result r = std::from_chars(buf, end, back);
+      if (r.ec == std::errc() && back == v) break;
+    }
   }
-  *out += buf;
+  out->append(buf, end);
 }
 
 void JsonValue::SerializeTo(std::string* out) const {

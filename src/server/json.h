@@ -69,7 +69,7 @@ class JsonValue {
   JsonValue& Append(JsonValue v);                  // arrays
   JsonValue& Set(std::string key, JsonValue v);    // objects
 
-  /// Compact serialization. Doubles use %.17g (shortened where exact), so
+  /// Compact serialization. Doubles use JsonAppendDouble, so
   /// parse(serialize(x)) reproduces every double bit-for-bit.
   std::string Serialize() const;
   void SerializeTo(std::string* out) const;
@@ -90,7 +90,9 @@ Result<JsonValue> ParseJson(std::string_view text);
 /// Appends `s` JSON-escaped (without quotes) to `out`.
 void JsonEscape(std::string_view s, std::string* out);
 
-/// Appends a double formatted for exact round-trip to `out`.
+/// Appends a double formatted for exact round-trip to `out`: the shortest
+/// of %.15g, %.16g, %.17g that reads back exactly, written with
+/// std::to_chars (independent of the C locale); NaN and +-inf as null.
 void JsonAppendDouble(double v, std::string* out);
 
 }  // namespace uots

@@ -47,6 +47,60 @@ Status ReadInt(const JsonValue& v, const char* what, int64_t* out) {
   return Status::OK();
 }
 
+// --- direct response writer --------------------------------------------------
+//
+// Responses are appended straight into the output string. Field order and
+// number rendering are wire contract (protocol_test pins the bytes).
+
+/// Appends `key` (the field's separator, name and colon) and `v`. Integers
+/// are passed as doubles too, as JsonValue::Int does, so an id of 1e15 or
+/// more renders the way %.16g/%.17g would.
+void AppendNumber(const char* key, double v, std::string* out) {
+  out->append(key);
+  JsonAppendDouble(v, out);
+}
+
+void AppendString(const char* key, std::string_view s, std::string* out) {
+  out->append(key).push_back('"');
+  JsonEscape(s, out);
+  out->push_back('"');
+}
+
+/// Opens a response with the fields every reply kind starts with:
+/// {"id":..,"request_id":"..","status":"..". A non-ok status then gets the
+/// error form ("error", "retryable") and the closing brace, and the call
+/// returns false; an ok status leaves the object open for the kind's body.
+bool AppendResponseHead(int64_t id, std::string_view request_id,
+                        ResponseStatus status, std::string_view error,
+                        std::string* out) {
+  AppendNumber("{\"id\":", static_cast<double>(id), out);
+  if (!request_id.empty()) AppendString(",\"request_id\":", request_id, out);
+  AppendString(",\"status\":", ToString(status), out);
+  if (status == ResponseStatus::kOk) return true;
+  if (!error.empty()) AppendString(",\"error\":", error, out);
+  out->append(IsRetryable(status) ? ",\"retryable\":true}"
+                                  : ",\"retryable\":false}");
+  return false;
+}
+
+/// Closes an ok query or trip reply: the cache flag, the engine stats and
+/// the server timings.
+template <typename Response>
+void AppendResponseTail(const Response& resp, std::string* out) {
+  if (resp.cached) out->append(",\"cached\":true");
+  if (resp.has_stats) {
+    out->append(",\"stats\":");
+    resp.stats.AppendJson(out);
+  }
+  AppendNumber(",\"server\":{\"queue_wait_ms\":", resp.queue_wait_ms, out);
+  AppendNumber(",\"execute_ms\":", resp.execute_ms, out);
+  out->append("}}");
+}
+
+/// Room for the head, stats and tail of an ok reply, so a typical response
+/// is written without reallocating.
+constexpr size_t kResponseOverheadBytes = 768;
+
 }  // namespace
 
 void AppendFrame(std::string_view payload, std::string* out) {
@@ -431,22 +485,21 @@ Result<IngestRequest> ParseIngestRequest(std::string_view json) {
 }
 
 std::string EncodeIngestResponse(const IngestResponse& resp) {
-  JsonValue o = JsonValue::Object();
-  o.Set("id", JsonValue::Int(resp.id));
-  if (!resp.request_id.empty()) {
-    o.Set("request_id", JsonValue::Str(resp.request_id));
+  std::string out;
+  out.reserve(160);
+  if (!AppendResponseHead(resp.id, resp.request_id, resp.status, resp.error,
+                          &out)) {
+    return out;
   }
-  o.Set("status", JsonValue::Str(ToString(resp.status)));
-  if (resp.status != ResponseStatus::kOk) {
-    if (!resp.error.empty()) o.Set("error", JsonValue::Str(resp.error));
-    o.Set("retryable", JsonValue::Bool(resp.retryable()));
-    return o.Serialize();
-  }
-  o.Set("accepted", JsonValue::Int(resp.accepted));
-  o.Set("first_traj", JsonValue::Int(resp.first_traj));
-  o.Set("generation", JsonValue::Int(resp.generation));
-  o.Set("delta_trajectories", JsonValue::Int(resp.delta_trajectories));
-  return o.Serialize();
+  AppendNumber(",\"accepted\":", static_cast<double>(resp.accepted), &out);
+  AppendNumber(",\"first_traj\":", static_cast<double>(resp.first_traj),
+               &out);
+  AppendNumber(",\"generation\":", static_cast<double>(resp.generation),
+               &out);
+  AppendNumber(",\"delta_trajectories\":",
+               static_cast<double>(resp.delta_trajectories), &out);
+  out.push_back('}');
+  return out;
 }
 
 Result<IngestResponse> ParseIngestResponse(std::string_view json) {
@@ -485,44 +538,23 @@ Result<IngestResponse> ParseIngestResponse(std::string_view json) {
 }
 
 std::string EncodeQueryResponse(const QueryResponse& resp) {
-  JsonValue o = JsonValue::Object();
-  o.Set("id", JsonValue::Int(resp.id));
-  if (!resp.request_id.empty()) {
-    o.Set("request_id", JsonValue::Str(resp.request_id));
-  }
-  o.Set("status", JsonValue::Str(ToString(resp.status)));
-  if (resp.status != ResponseStatus::kOk) {
-    if (!resp.error.empty()) o.Set("error", JsonValue::Str(resp.error));
-    o.Set("retryable", JsonValue::Bool(resp.retryable()));
-    return o.Serialize();
-  }
-  JsonValue items = JsonValue::Array();
-  for (const ScoredTrajectory& st : resp.results) {
-    JsonValue item = JsonValue::Object();
-    item.Set("traj", JsonValue::Int(static_cast<int64_t>(st.id)));
-    item.Set("score", JsonValue::Number(st.score));
-    item.Set("spatial", JsonValue::Number(st.spatial_sim));
-    item.Set("textual", JsonValue::Number(st.textual_sim));
-    items.Append(std::move(item));
-  }
-  o.Set("results", std::move(items));
-  if (resp.cached) o.Set("cached", JsonValue::Bool(true));
   std::string out;
-  out.reserve(256);
-  // Serialize up to (and excluding) the closing brace, then splice the
-  // already-JSON stats blob and the server block in.
-  std::string head = o.Serialize();
-  head.pop_back();  // '}'
-  out += head;
-  if (resp.has_stats) {
-    out += ",\"stats\":";
-    out += resp.stats.ToJson();
+  out.reserve(kResponseOverheadBytes + 96 * resp.results.size());
+  if (!AppendResponseHead(resp.id, resp.request_id, resp.status, resp.error,
+                          &out)) {
+    return out;
   }
-  out += ",\"server\":{\"queue_wait_ms\":";
-  JsonAppendDouble(resp.queue_wait_ms, &out);
-  out += ",\"execute_ms\":";
-  JsonAppendDouble(resp.execute_ms, &out);
-  out += "}}";
+  out.append(",\"results\":[");
+  for (size_t i = 0; i < resp.results.size(); ++i) {
+    const ScoredTrajectory& st = resp.results[i];
+    AppendNumber(i == 0 ? "{\"traj\":" : ",{\"traj\":", st.id, &out);
+    AppendNumber(",\"score\":", st.score, &out);
+    AppendNumber(",\"spatial\":", st.spatial_sim, &out);
+    AppendNumber(",\"textual\":", st.textual_sim, &out);
+    out.push_back('}');
+  }
+  out.push_back(']');
+  AppendResponseTail(resp, &out);
   return out;
 }
 
@@ -691,55 +723,38 @@ Result<TripRequest> ParseTripRequest(std::string_view json) {
 }
 
 std::string EncodeTripResponse(const TripResponse& resp) {
-  JsonValue o = JsonValue::Object();
-  o.Set("id", JsonValue::Int(resp.id));
-  if (!resp.request_id.empty()) {
-    o.Set("request_id", JsonValue::Str(resp.request_id));
-  }
-  o.Set("status", JsonValue::Str(ToString(resp.status)));
-  if (resp.status != ResponseStatus::kOk) {
-    if (!resp.error.empty()) o.Set("error", JsonValue::Str(resp.error));
-    o.Set("retryable", JsonValue::Bool(resp.retryable()));
-    return o.Serialize();
-  }
-  JsonValue trips = JsonValue::Array();
-  for (const AssembledTrip& trip : resp.trips) {
-    JsonValue t = JsonValue::Object();
-    t.Set("score", JsonValue::Number(trip.score));
-    t.Set("spatial", JsonValue::Number(trip.spatial_sim));
-    t.Set("textual", JsonValue::Number(trip.textual_sim));
-    t.Set("connector_m", JsonValue::Number(trip.connector_total_m));
-    JsonValue segments = JsonValue::Array();
-    for (const TripSegment& s : trip.segments) {
-      JsonValue seg = JsonValue::Object();
-      seg.Set("traj", JsonValue::Int(static_cast<int64_t>(s.traj)));
-      seg.Set("begin", JsonValue::Int(static_cast<int64_t>(s.begin)));
-      seg.Set("end", JsonValue::Int(static_cast<int64_t>(s.end)));
-      seg.Set("entry", JsonValue::Int(static_cast<int64_t>(s.entry)));
-      seg.Set("exit", JsonValue::Int(static_cast<int64_t>(s.exit)));
-      seg.Set("loc_distance", JsonValue::Number(s.loc_distance));
-      seg.Set("connector_m", JsonValue::Number(s.connector_m));
-      segments.Append(std::move(seg));
-    }
-    t.Set("segments", std::move(segments));
-    trips.Append(std::move(t));
-  }
-  o.Set("trips", std::move(trips));
-  if (resp.cached) o.Set("cached", JsonValue::Bool(true));
   std::string out;
-  out.reserve(256);
-  std::string head = o.Serialize();
-  head.pop_back();  // '}'
-  out += head;
-  if (resp.has_stats) {
-    out += ",\"stats\":";
-    out += resp.stats.ToJson();
+  size_t segments = 0;
+  for (const AssembledTrip& trip : resp.trips) segments += trip.segments.size();
+  out.reserve(kResponseOverheadBytes + 128 * resp.trips.size() +
+              160 * segments);
+  if (!AppendResponseHead(resp.id, resp.request_id, resp.status, resp.error,
+                          &out)) {
+    return out;
   }
-  out += ",\"server\":{\"queue_wait_ms\":";
-  JsonAppendDouble(resp.queue_wait_ms, &out);
-  out += ",\"execute_ms\":";
-  JsonAppendDouble(resp.execute_ms, &out);
-  out += "}}";
+  out.append(",\"trips\":[");
+  for (size_t i = 0; i < resp.trips.size(); ++i) {
+    const AssembledTrip& trip = resp.trips[i];
+    AppendNumber(i == 0 ? "{\"score\":" : ",{\"score\":", trip.score, &out);
+    AppendNumber(",\"spatial\":", trip.spatial_sim, &out);
+    AppendNumber(",\"textual\":", trip.textual_sim, &out);
+    AppendNumber(",\"connector_m\":", trip.connector_total_m, &out);
+    out.append(",\"segments\":[");
+    for (size_t j = 0; j < trip.segments.size(); ++j) {
+      const TripSegment& seg = trip.segments[j];
+      AppendNumber(j == 0 ? "{\"traj\":" : ",{\"traj\":", seg.traj, &out);
+      AppendNumber(",\"begin\":", seg.begin, &out);
+      AppendNumber(",\"end\":", seg.end, &out);
+      AppendNumber(",\"entry\":", seg.entry, &out);
+      AppendNumber(",\"exit\":", seg.exit, &out);
+      AppendNumber(",\"loc_distance\":", seg.loc_distance, &out);
+      AppendNumber(",\"connector_m\":", seg.connector_m, &out);
+      out.push_back('}');
+    }
+    out.append("]}");
+  }
+  out.push_back(']');
+  AppendResponseTail(resp, &out);
   return out;
 }
 

@@ -8,6 +8,11 @@
 // tells the decoder exactly how many bytes to discard, so the connection
 // resynchronizes on the next frame instead of being dropped.
 //
+// Responses on one connection come back in request order. That covers
+// every reply: a cache hit answered on the reactor, a parse or
+// oversized-frame error, overloaded/shutting_down, and a deadline reply,
+// each of which waits behind the replies to earlier requests.
+//
 // Request object (all ids are numbers except request_id):
 //   {"id": 7,                      // caller-chosen correlation id
 //    "request_id": "cli-42",       // optional; server generates when absent
@@ -33,7 +38,9 @@
 // on one string.
 //
 // Scores are serialized with round-trip precision, so a client can compare
-// results bit-for-bit against an in-process RunQuery.
+// results bit-for-bit against an in-process RunQuery. The response
+// encoders write JSON directly (no JsonValue tree); field order and bytes
+// are pinned by protocol_test's goldens.
 
 #ifndef UOTS_SERVER_PROTOCOL_H_
 #define UOTS_SERVER_PROTOCOL_H_

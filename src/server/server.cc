@@ -85,6 +85,16 @@ std::string SummarizeTripQuery(const TripQuery& q) {
   return out;
 }
 
+std::string EncodeResponse(const QueryResponse& r) {
+  return EncodeQueryResponse(r);
+}
+std::string EncodeResponse(const TripResponse& r) {
+  return EncodeTripResponse(r);
+}
+std::string EncodeResponse(const IngestResponse& r) {
+  return EncodeIngestResponse(r);
+}
+
 }  // namespace
 
 UotsServer::UotsServer(std::shared_ptr<const TrajectoryDatabase> db,
@@ -269,6 +279,32 @@ Connection* UotsServer::FindConn(uint64_t conn_id) {
   return it == conns_.end() ? nullptr : it->second.get();
 }
 
+template <typename Response>
+void UotsServer::Send(Connection* conn, uint64_t seq, const Response& resp) {
+  std::string body;
+  {
+    UOTS_TRACE_SCOPE("server_serialize");
+    body = EncodeResponse(resp);
+  }
+  conn->QueueResponse(seq, std::move(body));
+  if (conn->Flush() == Connection::IoResult::kClosed) {
+    CloseConnection(conn->id());
+    return;
+  }
+  UpdateWriteInterest(conn);
+}
+
+void UotsServer::SendError(Connection* conn, uint64_t seq, int64_t request_id,
+                           const std::string& request_id_str,
+                           ResponseStatus status, const std::string& error) {
+  QueryResponse resp;
+  resp.id = request_id;
+  resp.request_id = request_id_str;
+  resp.status = status;
+  resp.error = error;
+  Send(conn, seq, resp);
+}
+
 void UotsServer::OnConnEvent(uint64_t conn_id, uint32_t events) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
@@ -301,18 +337,20 @@ void UotsServer::OnConnEvent(uint64_t conn_id, uint32_t events) {
       const FrameDecoder::Next next =
           conn->decoder().Poll(&payload, &oversized);
       if (next == FrameDecoder::Next::kNeedMore) break;
+      const uint64_t seq = conn->NextRequestSeq();
       if (next == FrameDecoder::Next::kOversized) {
         ++counters_.oversized_frames;
         ++conn->stats().protocol_errors;
-        SendError(conn, 0, GenerateRequestId(conn_id),
+        SendError(conn, seq, 0, GenerateRequestId(conn_id),
                   ResponseStatus::kParseError,
                   "frame exceeds maximum size (" +
                       std::to_string(oversized) + " > " +
                       std::to_string(opts_.max_frame_bytes) + " bytes)");
+        if (conns_.find(conn_id) == conns_.end()) return;
         continue;
       }
       ++conn->stats().frames_in;
-      HandleFrame(conn, payload);
+      HandleFrame(conn, seq, payload);
       // HandleFrame may have closed the connection (write failure).
       if (conns_.find(conn_id) == conns_.end()) return;
     }
@@ -328,7 +366,8 @@ void UotsServer::OnConnEvent(uint64_t conn_id, uint32_t events) {
   }
 }
 
-void UotsServer::HandleFrame(Connection* conn, std::string_view payload) {
+void UotsServer::HandleFrame(Connection* conn, uint64_t seq,
+                             std::string_view payload) {
   // Parse the JSON once, then dispatch on the optional "type" field: one
   // connection freely interleaves queries and ingest batches.
   Result<JsonValue> doc = [&payload] {
@@ -338,7 +377,7 @@ void UotsServer::HandleFrame(Connection* conn, std::string_view payload) {
   if (!doc.ok() || !doc->is_object()) {
     ++counters_.parse_errors;
     ++conn->stats().protocol_errors;
-    SendError(conn, 0, GenerateRequestId(conn->id()),
+    SendError(conn, seq, 0, GenerateRequestId(conn->id()),
               ResponseStatus::kParseError,
               doc.ok() ? "request must be an object"
                        : doc.status().message());
@@ -346,16 +385,16 @@ void UotsServer::HandleFrame(Connection* conn, std::string_view payload) {
   }
   switch (RequestTypeOf(*doc)) {
     case RequestType::kIngest:
-      HandleIngest(conn, *doc);
+      HandleIngest(conn, seq, *doc);
       return;
     case RequestType::kTrip:
-      HandleTrip(conn, *doc);
+      HandleTrip(conn, seq, *doc);
       return;
     case RequestType::kUnknown: {
       ++counters_.parse_errors;
       ++conn->stats().protocol_errors;
       const JsonValue* type = doc->Find("type");
-      SendError(conn, 0, GenerateRequestId(conn->id()),
+      SendError(conn, seq, 0, GenerateRequestId(conn->id()),
                 ResponseStatus::kParseError,
                 "unknown request type: " +
                     (type != nullptr && type->is_string()
@@ -366,17 +405,18 @@ void UotsServer::HandleFrame(Connection* conn, std::string_view payload) {
     case RequestType::kQuery:
       break;
   }
-  HandleQuery(conn, *doc);
+  HandleQuery(conn, seq, *doc);
 }
 
-void UotsServer::HandleIngest(Connection* conn, const JsonValue& doc) {
+void UotsServer::HandleIngest(Connection* conn, uint64_t seq,
+                              const JsonValue& doc) {
   ++counters_.ingest_requests;
   Result<IngestRequest> parsed = ParseIngestRequest(doc);
   if (!parsed.ok()) {
     ++counters_.parse_errors;
     ++counters_.ingest_rejected_batches;
     ++conn->stats().protocol_errors;
-    SendError(conn, 0, GenerateRequestId(conn->id()),
+    SendError(conn, seq, 0, GenerateRequestId(conn->id()),
               ResponseStatus::kParseError, parsed.status().message());
     return;
   }
@@ -392,7 +432,7 @@ void UotsServer::HandleIngest(Connection* conn, const JsonValue& doc) {
     ++counters_.ingest_rejected_batches;
     resp.status = ResponseStatus::kShuttingDown;
     resp.error = "server is shutting down";
-    SendIngestResponse(conn, resp);
+    Send(conn, seq, resp);
     return;
   }
 
@@ -406,7 +446,7 @@ void UotsServer::HandleIngest(Connection* conn, const JsonValue& doc) {
     ++counters_.ingest_rejected_batches;
     resp.status = FromStatus(applied.status());
     resp.error = applied.status().message();
-    SendIngestResponse(conn, resp);
+    Send(conn, seq, resp);
     return;
   }
   counters_.ingest_accepted_trips += static_cast<int64_t>(applied->accepted);
@@ -424,32 +464,18 @@ void UotsServer::HandleIngest(Connection* conn, const JsonValue& doc) {
   resp.generation = static_cast<int64_t>(applied->generation);
   resp.delta_trajectories =
       static_cast<int64_t>(ingestor_.delta_trajectories());
-  SendIngestResponse(conn, resp);
+  Send(conn, seq, resp);
   MetricsRegistry::Global().Record("server.ingest.apply",
                                    EventLoop::NowNs() - apply_start_ns);
 }
 
-void UotsServer::SendIngestResponse(Connection* conn,
-                                    const IngestResponse& resp) {
-  std::string body;
-  {
-    UOTS_TRACE_SCOPE("server_serialize");
-    body = EncodeIngestResponse(resp);
-  }
-  conn->QueueFrame(body);
-  if (conn->Flush() == Connection::IoResult::kClosed) {
-    CloseConnection(conn->id());
-    return;
-  }
-  UpdateWriteInterest(conn);
-}
-
-void UotsServer::HandleQuery(Connection* conn, const JsonValue& doc) {
+void UotsServer::HandleQuery(Connection* conn, uint64_t seq,
+                             const JsonValue& doc) {
   Result<QueryRequest> parsed = ParseQueryRequest(doc);
   if (!parsed.ok()) {
     ++counters_.parse_errors;
     ++conn->stats().protocol_errors;
-    SendError(conn, 0, GenerateRequestId(conn->id()),
+    SendError(conn, seq, 0, GenerateRequestId(conn->id()),
               ResponseStatus::kParseError, parsed.status().message());
     return;
   }
@@ -462,8 +488,8 @@ void UotsServer::HandleQuery(Connection* conn, const JsonValue& doc) {
 
   if (draining_) {
     ++counters_.rejected_shutting_down;
-    SendError(conn, req.id, req.request_id, ResponseStatus::kShuttingDown,
-              "server is shutting down");
+    SendError(conn, seq, req.id, req.request_id,
+              ResponseStatus::kShuttingDown, "server is shutting down");
     return;
   }
 
@@ -486,7 +512,7 @@ void UotsServer::HandleQuery(Connection* conn, const JsonValue& doc) {
       resp.has_stats = true;
       resp.stats = hit->stats;
       resp.cached = true;
-      SendResponse(conn, resp);
+      Send(conn, seq, resp);
       const int64_t done_ns = EventLoop::NowNs();
       MetricsRegistry::Global().Record("server.request_latency",
                                        done_ns - arrival_ns);
@@ -506,6 +532,7 @@ void UotsServer::HandleQuery(Connection* conn, const JsonValue& doc) {
 
   auto ctx = std::make_shared<RequestCtx>();
   ctx->conn_id = conn->id();
+  ctx->seq = seq;
   ctx->request_id = req.id;
   ctx->request_id_str = req.request_id;
   ctx->kind = kind;
@@ -544,11 +571,11 @@ void UotsServer::HandleQuery(Connection* conn, const JsonValue& doc) {
   if (!admitted) {
     if (service_->shutting_down()) {
       ++counters_.rejected_shutting_down;
-      SendError(conn, req.id, ctx->request_id_str,
+      SendError(conn, seq, req.id, ctx->request_id_str,
                 ResponseStatus::kShuttingDown, "server is shutting down");
     } else {
       ++counters_.rejected_overloaded;
-      SendError(conn, req.id, ctx->request_id_str,
+      SendError(conn, seq, req.id, ctx->request_id_str,
                 ResponseStatus::kOverloaded,
                 "server at capacity (" +
                     std::to_string(opts_.service.max_inflight) +
@@ -567,12 +594,13 @@ void UotsServer::HandleQuery(Connection* conn, const JsonValue& doc) {
   }
 }
 
-void UotsServer::HandleTrip(Connection* conn, const JsonValue& doc) {
+void UotsServer::HandleTrip(Connection* conn, uint64_t seq,
+                            const JsonValue& doc) {
   Result<TripRequest> parsed = ParseTripRequest(doc);
   if (!parsed.ok()) {
     ++counters_.parse_errors;
     ++conn->stats().protocol_errors;
-    SendError(conn, 0, GenerateRequestId(conn->id()),
+    SendError(conn, seq, 0, GenerateRequestId(conn->id()),
               ResponseStatus::kParseError, parsed.status().message());
     return;
   }
@@ -585,8 +613,8 @@ void UotsServer::HandleTrip(Connection* conn, const JsonValue& doc) {
 
   if (draining_) {
     ++counters_.rejected_shutting_down;
-    SendError(conn, req.id, req.request_id, ResponseStatus::kShuttingDown,
-              "server is shutting down");
+    SendError(conn, seq, req.id, req.request_id,
+              ResponseStatus::kShuttingDown, "server is shutting down");
     return;
   }
 
@@ -605,7 +633,7 @@ void UotsServer::HandleTrip(Connection* conn, const JsonValue& doc) {
       resp.has_stats = true;
       resp.stats = hit->stats;
       resp.cached = true;
-      SendTripResponse(conn, resp);
+      Send(conn, seq, resp);
       const int64_t done_ns = EventLoop::NowNs();
       MetricsRegistry::Global().Record("server.request_latency",
                                        done_ns - arrival_ns);
@@ -628,6 +656,7 @@ void UotsServer::HandleTrip(Connection* conn, const JsonValue& doc) {
 
   auto ctx = std::make_shared<RequestCtx>();
   ctx->conn_id = conn->id();
+  ctx->seq = seq;
   ctx->request_id = req.id;
   ctx->request_id_str = req.request_id;
   ctx->is_trip = true;
@@ -663,11 +692,11 @@ void UotsServer::HandleTrip(Connection* conn, const JsonValue& doc) {
   if (!admitted) {
     if (service_->shutting_down()) {
       ++counters_.rejected_shutting_down;
-      SendError(conn, req.id, ctx->request_id_str,
+      SendError(conn, seq, req.id, ctx->request_id_str,
                 ResponseStatus::kShuttingDown, "server is shutting down");
     } else {
       ++counters_.rejected_overloaded;
-      SendError(conn, req.id, ctx->request_id_str,
+      SendError(conn, seq, req.id, ctx->request_id_str,
                 ResponseStatus::kOverloaded,
                 "server at capacity (" +
                     std::to_string(opts_.service.max_inflight) +
@@ -817,7 +846,7 @@ void UotsServer::OnDeadline(const std::shared_ptr<RequestCtx>& ctx) {
 
   Connection* conn = FindConn(ctx->conn_id);
   if (conn != nullptr) {
-    SendError(conn, ctx->request_id, ctx->request_id_str,
+    SendError(conn, ctx->seq, ctx->request_id, ctx->request_id_str,
               ResponseStatus::kDeadlineExceeded,
               "deadline of " + std::to_string(ctx->deadline_ms) +
                   " ms exceeded");
@@ -858,14 +887,14 @@ void UotsServer::OnComplete(const std::shared_ptr<RequestCtx>& ctx,
       resp.queue_wait_ms = r.queue_wait_ms;
       resp.execute_ms = r.execute_ms;
       ++counters_.responses_ok;
-      SendResponse(conn, resp);
+      Send(conn, ctx->seq, resp);
     } else {
       if (ws == ResponseStatus::kDeadlineExceeded) {
         ++counters_.deadline_exceeded;
       } else {
         ++counters_.errors_internal;
       }
-      SendError(conn, ctx->request_id, ctx->request_id_str, ws,
+      SendError(conn, ctx->seq, ctx->request_id, ctx->request_id_str, ws,
                 r.status.message());
     }
     MetricsRegistry::Global().Record(
@@ -884,6 +913,8 @@ void UotsServer::OnComplete(const std::shared_ptr<RequestCtx>& ctx,
                 r.status.ok() ? &r.result.stats : nullptr,
                 std::move(r.spans));
 
+  // Sending may have closed the connection; look it up again.
+  conn = FindConn(ctx->conn_id);
   if (conn != nullptr && conn->close_after_flush && conn->inflight == 0 &&
       !conn->want_write()) {
     CloseConnection(ctx->conn_id);
@@ -928,14 +959,14 @@ void UotsServer::OnTripComplete(const std::shared_ptr<RequestCtx>& ctx,
       resp.queue_wait_ms = r.queue_wait_ms;
       resp.execute_ms = r.execute_ms;
       ++counters_.responses_ok;
-      SendTripResponse(conn, resp);
+      Send(conn, ctx->seq, resp);
     } else {
       if (ws == ResponseStatus::kDeadlineExceeded) {
         ++counters_.deadline_exceeded;
       } else {
         ++counters_.errors_internal;
       }
-      SendError(conn, ctx->request_id, ctx->request_id_str, ws,
+      SendError(conn, ctx->seq, ctx->request_id, ctx->request_id_str, ws,
                 r.status.message());
     }
     MetricsRegistry::Global().Record(
@@ -951,50 +982,13 @@ void UotsServer::OnTripComplete(const std::shared_ptr<RequestCtx>& ctx,
                 r.status.ok() ? &r.result.stats : nullptr,
                 std::move(r.spans), segments);
 
+  // Sending may have closed the connection; look it up again.
+  conn = FindConn(ctx->conn_id);
   if (conn != nullptr && conn->close_after_flush && conn->inflight == 0 &&
       !conn->want_write()) {
     CloseConnection(ctx->conn_id);
   }
   MaybeFinishShutdown();
-}
-
-void UotsServer::SendTripResponse(Connection* conn, const TripResponse& resp) {
-  std::string body;
-  {
-    UOTS_TRACE_SCOPE("server_serialize");
-    body = EncodeTripResponse(resp);
-  }
-  conn->QueueFrame(body);
-  if (conn->Flush() == Connection::IoResult::kClosed) {
-    CloseConnection(conn->id());
-    return;
-  }
-  UpdateWriteInterest(conn);
-}
-
-void UotsServer::SendResponse(Connection* conn, const QueryResponse& resp) {
-  std::string body;
-  {
-    UOTS_TRACE_SCOPE("server_serialize");
-    body = EncodeQueryResponse(resp);
-  }
-  conn->QueueFrame(body);
-  if (conn->Flush() == Connection::IoResult::kClosed) {
-    CloseConnection(conn->id());
-    return;
-  }
-  UpdateWriteInterest(conn);
-}
-
-void UotsServer::SendError(Connection* conn, int64_t request_id,
-                           const std::string& request_id_str,
-                           ResponseStatus status, const std::string& error) {
-  QueryResponse resp;
-  resp.id = request_id;
-  resp.request_id = request_id_str;
-  resp.status = status;
-  resp.error = error;
-  SendResponse(conn, resp);
 }
 
 void UotsServer::UpdateWriteInterest(Connection* conn) {

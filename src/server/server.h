@@ -176,6 +176,7 @@ class UotsServer {
   /// completion closure.
   struct RequestCtx {
     uint64_t conn_id = 0;
+    uint64_t seq = 0;             ///< frame's place in its connection's order
     int64_t request_id = 0;       ///< wire "id" (numeric correlation)
     std::string request_id_str;   ///< "request_id" (observability key)
     AlgorithmKind kind = AlgorithmKind::kUots;
@@ -198,11 +199,13 @@ class UotsServer {
 
   void OnAcceptReady();
   void OnConnEvent(uint64_t conn_id, uint32_t events);
-  void HandleFrame(Connection* conn, std::string_view payload);
-  void HandleQuery(Connection* conn, const JsonValue& doc);
-  void HandleTrip(Connection* conn, const JsonValue& doc);
-  void HandleIngest(Connection* conn, const JsonValue& doc);
-  void SendIngestResponse(Connection* conn, const IngestResponse& resp);
+  // Every frame read from a connection carries its sequence number `seq`
+  // down to exactly one Send/SendError, which writes the reply in request
+  // order (Connection::QueueResponse).
+  void HandleFrame(Connection* conn, uint64_t seq, std::string_view payload);
+  void HandleQuery(Connection* conn, uint64_t seq, const JsonValue& doc);
+  void HandleTrip(Connection* conn, uint64_t seq, const JsonValue& doc);
+  void HandleIngest(Connection* conn, uint64_t seq, const JsonValue& doc);
   /// Background-thread body of one compaction (never touches loop state).
   void RunCompaction(std::shared_ptr<const TrajectoryDatabase> base,
                      std::vector<Trajectory> sealed_trips);
@@ -226,9 +229,12 @@ class UotsServer {
                       TripExecutionResult r);
 
   Connection* FindConn(uint64_t conn_id);
-  void SendResponse(Connection* conn, const QueryResponse& resp);
-  void SendTripResponse(Connection* conn, const TripResponse& resp);
-  void SendError(Connection* conn, int64_t request_id,
+  /// Encodes a Query/Trip/IngestResponse as the reply to frame `seq` and
+  /// writes it in order. May close `conn` (write failure): callers look the
+  /// connection up again before touching it afterwards.
+  template <typename Response>
+  void Send(Connection* conn, uint64_t seq, const Response& resp);
+  void SendError(Connection* conn, uint64_t seq, int64_t request_id,
                  const std::string& request_id_str, ResponseStatus status,
                  const std::string& error);
   void UpdateWriteInterest(Connection* conn);

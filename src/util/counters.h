@@ -137,7 +137,10 @@ struct QueryStats {
 
   std::string ToString() const;
   /// Flat JSON object; phase times under "phase_ms" keyed by phase name.
+  /// Counters print in full, doubles as printf "%g" (6 significant digits).
   std::string ToJson() const;
+  /// Appends the ToJson() object to `out` (the wire encoders' form).
+  void AppendJson(std::string* out) const;
 };
 
 /// \brief RAII phase accounting: adds the scope's wall time to

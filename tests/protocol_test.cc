@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -337,6 +344,318 @@ TEST(JsonTest, RejectsDeeplyNestedInput) {
   std::string deep(100, '[');
   deep += std::string(100, ']');
   EXPECT_FALSE(ParseJson(deep).ok()) << "depth cap missing";
+}
+
+
+// --- wire bytes --------------------------------------------------------------
+//
+// The response encoders write JSON directly; these goldens pin the exact
+// bytes (field order, number rendering, escaping) that clients and
+// --verify drills compare against.
+
+const char kAwkwardText[] =
+    "say \"hi\" \\ \x01\x1f\t\n caf\xc3\xa9 \xe2\x82\xac";
+#define AWKWARD_JSON R"(say \"hi\" \\ \u0001\u001f\t\n café €)"
+
+QueryStats GoldenStats() {
+  QueryStats s;
+  s.visited_trajectories = 123;
+  s.trajectory_hits = 456;
+  s.settled_vertices = 9007199254740993;  // counters print in full
+  s.candidates = -1;
+  s.oracle_lookups = 1000000;
+  s.phase_ns[static_cast<int>(QueryPhase::kTextualFilter)] = 1723457;
+  s.phase_ns[static_cast<int>(QueryPhase::kRefinement)] = 100;
+  s.elapsed_ms = 0.1 + 0.2;
+  return s;
+}
+
+#define GOLDEN_STATS_JSON                                                     \
+  R"({"visited_trajectories": 123, "trajectory_hits": 456, )"                \
+  R"("settled_vertices": 9007199254740993, "heap_pops": 0, )"                \
+  R"("heap_pushes": 0, "heap_decreases": 0, "heap_stale_pops": 0, )"         \
+  R"("candidates": -1, "posting_entries": 0, "schedule_steps": 0, )"         \
+  R"("bound_rebuilds": 0, "dcache_hits": 0, "dcache_replayed": 0, )"         \
+  R"("dcache_published": 0, "oracle_lookups": 1000000, )"                    \
+  R"("oracle_pruned_candidates": 0, "elapsed_ms": 0.3, "phase_ms": )"        \
+  R"({"textual_filter": 1.72346, "spatial_expansion": 0, )"                  \
+  R"("bound_maintenance": 0, "scheduling": 0, "refinement": 0.0001, )"       \
+  R"("trip_harvest": 0, "trip_assemble": 0}})"
+
+QueryResponse GoldenQuery() {
+  QueryResponse r;
+  r.id = 9007199254740992;  // 2^53
+  r.request_id = kAwkwardText;
+  r.results.push_back(ScoredTrajectory{3, 0.1 + 0.2, 1.0 / 3.0, 5e-324});
+  r.results.push_back(ScoredTrajectory{4294967295u, -0.0, 1e-5, 1e-4});
+  r.results.push_back(
+      ScoredTrajectory{0, 1e21, 9007199254740992.0, std::nan("")});
+  r.results.push_back(ScoredTrajectory{7, HUGE_VAL, -HUGE_VAL, 1.0});
+  r.has_stats = true;
+  r.stats = GoldenStats();
+  r.queue_wait_ms = 0.25;
+  r.execute_ms = 3.75;
+  return r;
+}
+
+#define GOLDEN_QUERY_HEAD                                                     \
+  R"({"id":9007199254740992,"request_id":")" AWKWARD_JSON R"(",)"            \
+  R"("status":"ok","results":[)"                                             \
+  R"({"traj":3,"score":0.30000000000000004,"spatial":0.3333333333333333,)"   \
+  R"("textual":4.94065645841247e-324},)"                                     \
+  R"({"traj":4294967295,"score":-0,"spatial":1e-05,"textual":0.0001},)"      \
+  R"({"traj":0,"score":1e+21,"spatial":9007199254740992,"textual":null},)"   \
+  R"({"traj":7,"score":null,"spatial":null,"textual":1}])"
+
+TEST(WireBytesTest, QueryResponseGolden) {
+  QueryResponse r = GoldenQuery();
+  EXPECT_EQ(EncodeQueryResponse(r),
+            GOLDEN_QUERY_HEAD R"(,"stats":)" GOLDEN_STATS_JSON
+            R"(,"server":{"queue_wait_ms":0.25,"execute_ms":3.75}})");
+
+  // A cache hit: flagged, zero server timings, stats of the populating run.
+  r.cached = true;
+  r.queue_wait_ms = 0.0;
+  r.execute_ms = 0.0;
+  EXPECT_EQ(EncodeQueryResponse(r),
+            GOLDEN_QUERY_HEAD R"(,"cached":true,"stats":)" GOLDEN_STATS_JSON
+            R"(,"server":{"queue_wait_ms":0,"execute_ms":0}})");
+
+  // No stats, no request id, no results.
+  QueryResponse bare;
+  bare.id = -3;
+  EXPECT_EQ(EncodeQueryResponse(bare),
+            R"({"id":-3,"status":"ok","results":[],)"
+            R"("server":{"queue_wait_ms":0,"execute_ms":0}})");
+}
+
+TEST(WireBytesTest, TripResponseGolden) {
+  TripResponse r;
+  r.id = -9007199254740991;  // -(2^53 - 1)
+  r.request_id = "cli-9";
+  AssembledTrip t;
+  t.score = 0.1 + 0.2;
+  t.spatial_sim = 1.0 / 3.0;
+  t.textual_sim = 1.0;
+  t.connector_total_m = 812.5;
+  t.segments.push_back(TripSegment{5, 2, 11, 40, 61, 120.5, 0.0});
+  t.segments.push_back(
+      TripSegment{4294967295u, 0, 4294967295u, 7, 8, 1e21, 5e-324});
+  r.trips.push_back(t);
+  r.trips.push_back(AssembledTrip{});
+  r.has_stats = true;
+  r.stats = GoldenStats();
+  r.queue_wait_ms = 1e-5;
+  r.execute_ms = 1e15;
+  EXPECT_EQ(
+      EncodeTripResponse(r),
+      R"({"id":-9007199254740991,"request_id":"cli-9","status":"ok",)"
+      R"("trips":[{"score":0.30000000000000004,"spatial":0.3333333333333333,)"
+      R"("textual":1,"connector_m":812.5,"segments":[)"
+      R"({"traj":5,"begin":2,"end":11,"entry":40,"exit":61,)"
+      R"("loc_distance":120.5,"connector_m":0},)"
+      R"({"traj":4294967295,"begin":0,"end":4294967295,"entry":7,"exit":8,)"
+      R"("loc_distance":1e+21,"connector_m":4.94065645841247e-324}]},)"
+      R"({"score":0,"spatial":0,"textual":0,"connector_m":0,"segments":[]}],)"
+      R"("stats":)" GOLDEN_STATS_JSON
+      R"(,"server":{"queue_wait_ms":1e-05,"execute_ms":1e+15}})");
+
+  r.cached = true;
+  r.trips.clear();
+  r.has_stats = false;
+  EXPECT_EQ(EncodeTripResponse(r),
+            R"({"id":-9007199254740991,"request_id":"cli-9","status":"ok",)"
+            R"("trips":[],"cached":true,)"
+            R"("server":{"queue_wait_ms":1e-05,"execute_ms":1e+15}})");
+}
+
+TEST(WireBytesTest, IngestResponseGolden) {
+  IngestResponse ok;
+  ok.id = 9;
+  ok.request_id = "cli-7";
+  ok.accepted = 64;
+  ok.first_traj = 15000;
+  ok.generation = 3;
+  ok.delta_trajectories = 128;
+  EXPECT_EQ(EncodeIngestResponse(ok),
+            R"({"id":9,"request_id":"cli-7","status":"ok","accepted":64,)"
+            R"("first_traj":15000,"generation":3,"delta_trajectories":128})");
+
+  IngestResponse err;
+  err.status = ResponseStatus::kInvalidArgument;
+  err.error = kAwkwardText;
+  err.accepted = 5;  // never written on the error form
+  EXPECT_EQ(EncodeIngestResponse(err),
+            R"({"id":0,"status":"invalid_argument","error":")" AWKWARD_JSON
+            R"(","retryable":false})");
+}
+
+TEST(WireBytesTest, EveryErrorStatusGolden) {
+  const struct {
+    ResponseStatus status;
+    const char* name;
+    const char* retryable;
+  } kCases[] = {
+      {ResponseStatus::kParseError, "parse_error", "false"},
+      {ResponseStatus::kInvalidArgument, "invalid_argument", "false"},
+      {ResponseStatus::kOverloaded, "overloaded", "true"},
+      {ResponseStatus::kDeadlineExceeded, "deadline_exceeded", "false"},
+      {ResponseStatus::kShuttingDown, "shutting_down", "true"},
+      {ResponseStatus::kInternal, "internal", "false"},
+  };
+  for (const auto& c : kCases) {
+    QueryResponse q;
+    q.id = 7;
+    q.request_id = "s3-17";
+    q.status = c.status;
+    q.error = kAwkwardText;
+    // Error replies carry no body, even when one was filled in.
+    q.results.push_back(ScoredTrajectory{1, 0.5, 0.5, 0.5});
+    q.has_stats = true;
+    q.cached = true;
+    const std::string expected =
+        std::string(R"({"id":7,"request_id":"s3-17","status":")") + c.name +
+        R"(","error":")" AWKWARD_JSON R"(","retryable":)" + c.retryable +
+        "}";
+    EXPECT_EQ(EncodeQueryResponse(q), expected) << c.name;
+
+    TripResponse t;
+    t.id = 7;
+    t.request_id = "s3-17";
+    t.status = c.status;
+    t.error = kAwkwardText;
+    t.trips.push_back(AssembledTrip{});
+    EXPECT_EQ(EncodeTripResponse(t), expected) << c.name;
+
+    IngestResponse i;
+    i.id = 7;
+    i.request_id = "s3-17";
+    i.status = c.status;
+    i.error = kAwkwardText;
+    EXPECT_EQ(EncodeIngestResponse(i), expected) << c.name;
+  }
+
+  // Empty error and request id are omitted, not written empty.
+  QueryResponse bare;
+  bare.id = -9007199254740992;
+  bare.status = ResponseStatus::kShuttingDown;
+  EXPECT_EQ(EncodeQueryResponse(bare),
+            R"({"id":-9007199254740992,"status":"shutting_down",)"
+            R"("retryable":true})");
+
+  // An id of 1e15 or more renders as the double formatter does.
+  TripResponse te;
+  te.id = 1000000000000000;
+  te.request_id = kAwkwardText;
+  te.status = ResponseStatus::kDeadlineExceeded;
+  te.error = "deadline of 50.000000 ms exceeded";
+  EXPECT_EQ(EncodeTripResponse(te),
+            R"({"id":1e+15,"request_id":")" AWKWARD_JSON
+            R"(","status":"deadline_exceeded",)"
+            R"("error":"deadline of 50.000000 ms exceeded",)"
+            R"("retryable":false})");
+}
+
+TEST(WireBytesTest, AwkwardDoublesGolden) {
+  const struct {
+    double v;
+    const char* text;
+  } kCases[] = {
+      {0.1 + 0.2, "0.30000000000000004"},
+      {1.0 / 3.0, "0.3333333333333333"},
+      {5e-324, "4.94065645841247e-324"},
+      {-0.0, "-0"},
+      {0.0, "0"},
+      {1e-5, "1e-05"},
+      {1e-4, "0.0001"},
+      {1e21, "1e+21"},
+      {9007199254740992.0, "9007199254740992"},
+      {-9007199254740993.0, "-9007199254740992"},
+      {999999999999999.0, "999999999999999"},
+      {1e15, "1e+15"},
+      {-1e15, "-1e+15"},
+      {123456789012345.6, "123456789012345.6"},
+      {std::numeric_limits<double>::max(), "1.7976931348623157e+308"},
+      {std::numeric_limits<double>::min(), "2.2250738585072014e-308"},
+      {std::nan(""), "null"},
+      {HUGE_VAL, "null"},
+      {-HUGE_VAL, "null"},
+  };
+  for (const auto& c : kCases) {
+    std::string out = "x";
+    JsonAppendDouble(c.v, &out);
+    EXPECT_EQ(out, std::string("x") + c.text);
+  }
+}
+
+/// The formatter the wire used before std::to_chars: the shortest of
+/// %.15g/%.16g/%.17g that strtod reads back exactly. Kept here as the
+/// reference the current one must match byte for byte.
+std::string ReferenceDouble(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[40];
+  for (int prec = 15; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+TEST(WireBytesTest, DoubleSweepMatchesPrintfReference) {
+  std::mt19937_64 rng(20261017);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const auto from_bits = [](uint64_t bits) {
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    return d;
+  };
+  constexpr int kDoubles = 1'000'000;
+  int mismatches = 0;
+  std::string out;
+  for (int i = 0; i < kDoubles; ++i) {
+    double v;
+    switch (i % 8) {
+      case 0:
+      case 1:  // any bit pattern: NaNs, infinities, denormals, huge and tiny
+        v = from_bits(rng());
+        break;
+      case 2:  // denormals of either sign
+        v = from_bits((rng() & 0x800FFFFFFFFFFFFFull));
+        break;
+      case 3:  // similarity-shaped values in [0, 1)
+        v = unit(rng);
+        break;
+      case 4: {  // integers near 1e15 and 2^53, and their binary fractions
+        const int64_t n =
+            static_cast<int64_t>(rng() % 40'000'000'000'000'000ull) -
+            20'000'000'000'000'000ll;
+        v = std::ldexp(static_cast<double>(n), -static_cast<int>(rng() % 40));
+        break;
+      }
+      case 5:  // short decimals, the case the 15-digit try exists for
+        v = static_cast<double>(static_cast<int64_t>(rng() % 2'000'000) -
+                                1'000'000) /
+            std::pow(10.0, static_cast<double>(rng() % 12));
+        break;
+      case 6:  // wide exponent range, one binade at a time
+        v = std::ldexp(1.0 + unit(rng), static_cast<int>(rng() % 2100) - 1075);
+        break;
+      default:  // small integers (ids, counts)
+        v = static_cast<double>(static_cast<int64_t>(rng() % 20'000'000) -
+                                10'000'000);
+        break;
+    }
+    out.clear();
+    JsonAppendDouble(v, &out);
+    const std::string ref = ReferenceDouble(v);
+    if (out != ref && ++mismatches <= 10) {
+      uint64_t bits;
+      std::memcpy(&bits, &v, sizeof(bits));
+      ADD_FAILURE() << "bits 0x" << std::hex << bits << ": got " << out
+                    << ", reference " << ref;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 }  // namespace

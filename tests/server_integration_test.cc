@@ -203,6 +203,70 @@ TEST(ServerIntegrationTest, PipelinedRequestsAnswerInOrder) {
   }
 }
 
+TEST(ServerIntegrationTest, CacheHitWaitsBehindEarlierMissOnItsConnection) {
+  auto db = MakeTestDb();
+  ServerOptions opts;
+  opts.service.cache_max_entries = 64;
+  ServerFixture fx(*db, opts);
+  const auto queries = MakeQueries(*db, 2);
+
+  // Put the query the hit repeats into the result cache.
+  QueryRequest hit;
+  hit.id = 2;
+  hit.query = queries[1];
+  {
+    BlockingClient warm;
+    ASSERT_TRUE(warm.Connect("127.0.0.1", fx.port()).ok());
+    auto resp = warm.Call(hit);
+    ASSERT_TRUE(resp.ok() && resp->ok());
+  }
+
+  // A brute-force miss, then the hit, in one send(): the reactor reads both
+  // frames in one pass, answers the hit on the spot and the miss only once
+  // a worker has run it. The hit's reply must still come second.
+  QueryRequest miss;
+  miss.id = 1;
+  miss.query = queries[0];
+  miss.algorithm = AlgorithmKind::kBruteForce;
+  miss.has_algorithm = true;
+  miss.cache = CacheMode::kBypass;
+  std::string wire;
+  AppendFrame(EncodeQueryRequest(miss), &wire);
+  AppendFrame(EncodeQueryRequest(hit), &wire);
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(fx.port());
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+  FrameDecoder dec;
+  std::vector<QueryResponse> replies;
+  char buf[4096];
+  while (replies.size() < 2) {
+    std::string payload;
+    if (dec.Poll(&payload) == FrameDecoder::Next::kFrame) {
+      auto resp = ParseQueryResponse(payload);
+      ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+      replies.push_back(std::move(*resp));
+      continue;
+    }
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0) << "connection closed before both replies";
+    dec.Append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_EQ(replies[0].id, 1) << "the cache hit overtook the earlier miss";
+  EXPECT_FALSE(replies[0].cached);
+  EXPECT_EQ(replies[1].id, 2);
+  EXPECT_TRUE(replies[1].cached);
+  EXPECT_TRUE(replies[0].ok() && replies[1].ok());
+}
+
 TEST(ServerIntegrationTest, MalformedFrameGetsErrorAndConnectionSurvives) {
   auto db = MakeTestDb();
   ServerFixture fx(*db);

@@ -7,7 +7,7 @@
 //
 //   1. construction — DistanceOracle::Build wall time, shortcut count,
 //      upward-arc count, and serialized column bytes;
-//   2. kernel — mean exact sd(u, v) latency of the bidirectional CH query
+//   2. kernel — mean exact sd(u, v) latency of the two-sided CH sweep
 //      versus a plain point-to-point Dijkstra on the same random pairs
 //      (Dijkstra gets proportionally fewer pairs; it is the slow side);
 //   3. end-to-end — the same UOTS workload with the oracle on vs off.
@@ -169,9 +169,9 @@ int main(int argc, char** argv) {
     for (const auto& [s, t] : pairs) sink += querier.Distance(s, t);
     const double oracle_us =
         oracle_timer.ElapsedSeconds() / pairs.size() * 1e6;
-    // Hierarchy quality: settled vertices per pairwise query (both upward
-    // searches combined). Grows ~polylog(n) for a healthy ordering.
-    const double settles_per_pair =
+    // Hierarchy quality: nodes scanned per pairwise query (both upward
+    // sweeps combined). Grows ~polylog(n) for a healthy ordering.
+    const double scans_per_pair =
         static_cast<double>(querier.SettledVertices()) /
         static_cast<double>(pairs.size());
 
@@ -275,7 +275,7 @@ int main(int argc, char** argv) {
              static_cast<int64_t>(build_stats.witness_searches))
         .Set("oracle_mb", oracle_mb)
         .Set("kernel_oracle_us", oracle_us)
-        .Set("kernel_settled_per_pair", settles_per_pair)
+        .Set("kernel_scanned_per_pair", scans_per_pair)
         .Set("kernel_dijkstra_us", dij_us)
         .Set("kernel_speedup", dij_us / oracle_us)
         .Set("e2e_baseline_ms_per_query", base_ms)

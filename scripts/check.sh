@@ -65,7 +65,7 @@ for preset in "${presets[@]}"; do
     # it, and confirm inspect reports the oracle sections. The randomized
     # oracle-vs-Dijkstra exactness suite then runs with full output; under
     # asan this sweeps the contraction, rank-space CSR assembly, and the
-    # bidirectional query kernel.
+    # upward-sweep query kernel.
     echo "==> ${preset}: distance-oracle drill"
     osnap="${builddir[${preset}]}/check-oracle.snap"
     "${builddir[${preset}]}/apps/uots_snapshot" build --out="${osnap}" \
@@ -75,6 +75,20 @@ for preset in "${presets[@]}"; do
       | grep "distance oracle" >/dev/null
     rm -f "${osnap}"
     ctest --preset "${preset}" -R uots_oracle_test --output-on-failure
+    if [[ "${preset}" == "release" ]]; then
+      # Oracle exactness at bench scale: bench_oracle exits nonzero on any
+      # kernel-vs-Dijkstra distance or oracle-on/off answer mismatch, and
+      # bench_trip on any oracle-vs-Dijkstra trip connector mismatch.
+      # Release only: they are benches, too slow under the sanitizers.
+      echo "==> release: oracle and trip bench gates"
+      "${builddir[release]}/bench/bench_oracle" --sizes=40 --queries=8 \
+        --pairs=2000 --json-out="${builddir[release]}/check-oracle.json"
+      "${builddir[release]}/bench/bench_trip" --trajectories=2000 \
+        --queries=24 --locations=2,4 \
+        --json-out="${builddir[release]}/check-bench-trip.json"
+      rm -f "${builddir[release]}/check-oracle.json" \
+        "${builddir[release]}/check-bench-trip.json"
+    fi
     # Admin-plane drill: serve a generated city with the admin listener on,
     # drive a closed loop that also scrapes server-side quantiles, then hit
     # every endpoint and check the exported metric families by name. Under

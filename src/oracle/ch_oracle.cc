@@ -184,6 +184,14 @@ class Contractor {
     // Targets are still original ids here; Build() renumbers them to rank
     // space and sorts each slice once the full order is known.
     contracted_[v] = 1;
+    // Drop the now-dead arcs back to v so later witness searches and
+    // priority updates stop skipping them. erase_if keeps the other arcs
+    // in order, so searches relax the same arcs in the same order and the
+    // hierarchy is unchanged; the contracted_ guards stay for parallel arcs.
+    for (const OracleEdge& e : up) {
+      std::erase_if(overlay_[e.to],
+                    [v](const OverlayArc& a) { return a.to == v; });
+    }
     overlay_[v].clear();
     overlay_[v].shrink_to_fit();
   }

@@ -7,8 +7,8 @@
 // survives without v. The result is an *upward* graph: for each vertex,
 // the original arcs and shortcuts leading to higher-ranked endpoints. On
 // an undirected network that single upward CSR serves both directions of
-// the bidirectional query kernel (oracle/querier.h), which answers exact
-// sd(u, v) in microseconds independent of graph diameter.
+// the query kernel (oracle/querier.h), which sweeps up from each endpoint
+// and answers exact sd(u, v) in microseconds independent of graph diameter.
 //
 // Exactness, not approximation: edge weights are floats (24-bit mantissa)
 // accumulated in doubles (53-bit), so every path-length sum at realistic
@@ -19,11 +19,14 @@
 // the oracle on or off.
 //
 // Layout: the upward CSR is stored in *rank space* — node r of the CSR is
-// the vertex contracted r-th, and arc targets are rank ids too. Upward
-// searches therefore walk monotonically increasing node ids and converge
-// into the top of the hierarchy, which occupies the contiguous hot tail of
-// the arrays; with the original-id layout every probe was a random access
-// over the whole vertex universe and the kernel was memory-latency-bound.
+// the vertex contracted r-th, and arc targets are rank ids too. Every arc
+// therefore points at a larger node id (Validate checks it), which gives
+// the querier a topological order for free: it scans reached nodes in
+// increasing id with no priority queue, each label final when its node
+// comes up. The sweeps converge into the top of the hierarchy, which
+// occupies the contiguous hot tail of the arrays; with the original-id
+// layout every probe was a random access over the whole vertex universe
+// and the kernel was memory-latency-bound.
 // `ranks` maps original vertex id -> rank; queriers translate endpoints
 // once on entry. Shortcut `via` vertices stay in original-id space (they
 // name road vertices for path unpacking, not CSR nodes).

@@ -4,56 +4,27 @@ namespace uots {
 
 OracleQuerier::OracleQuerier(const DistanceOracle& oracle)
     : oracle_(&oracle),
-      fwd_dist_(oracle.NumVertices()),
-      fwd_heap_(oracle.NumVertices()),
+      pending_((oracle.NumVertices() + 63) / 64, 0),
       bucket_head_(oracle.NumVertices()),
-      row_of_(oracle.NumVertices()),
-      up_dist_(oracle.NumVertices()),
-      up_heap_(oracle.NumVertices()) {}
-
-bool OracleQuerier::Stalled(uint32_t u, double d,
-                            const DistanceField& dist) const {
-  for (const OracleEdge& e : oracle_->UpNeighbors(u)) {
-    const double lx = dist.Get(e.to);
-    if (lx + e.weight < d) return true;
-  }
-  return false;
+      row_of_(oracle.NumVertices()) {
+  fwd_.dist.assign(oracle.NumVertices(), kInfDistance);
+  up_.dist.assign(oracle.NumVertices(), kInfDistance);
 }
 
 double OracleQuerier::Distance(VertexId s, VertexId t) {
   ++lookups_;
   if (s == t) return 0.0;
-  // Both searches run in rank space (ids translate once, right here).
-  // Forward side runs to exhaustion (upward search spaces are tiny); the
-  // backward side then probes its labels and stops once its own frontier
-  // key cannot beat the best meet found so far.
-  const uint32_t rs = oracle_->RankOf(s);
-  const uint32_t rt = oracle_->RankOf(t);
-  UpwardSearch(rs, &fwd_dist_, &fwd_heap_, [](uint32_t, double) {});
+  // The forward side runs to exhaustion (upward search spaces are tiny);
+  // the backward side probes its labels at every scanned node and leaves
+  // a node unrelaxed once its own label reaches the best meet, since every
+  // label above it would be at least as long.
+  SweepFrom(s, &fwd_, [](uint32_t, double) { return true; });
   double best = kInfDistance;
-  up_dist_.Reset();
-  up_heap_.Reset();
-  up_dist_.Set(rt, 0.0);
-  up_heap_.Push(rt, 0.0);
-  while (!up_heap_.empty()) {
-    const auto [d, u] = up_heap_.Pop();
-    if (d >= best) break;  // every later pop is at least this far
-    const double f = fwd_dist_.Get(u);
-    if (f != kInfDistance && f + d < best) best = f + d;
-    if (Stalled(u, d, up_dist_)) continue;
-    for (const OracleEdge& e : oracle_->UpNeighbors(u)) {
-      const double nd = d + e.weight;
-      const double old = up_dist_.Get(e.to);
-      if (nd < old) {
-        up_dist_.Set(e.to, nd);
-        if (old == kInfDistance) {
-          up_heap_.Push(e.to, nd);
-        } else {
-          up_heap_.DecreaseKey(e.to, nd);
-        }
-      }
-    }
-  }
+  SweepFrom(t, &up_, [&](uint32_t u, double d) {
+    const double meet = fwd_.dist[u] + d;
+    if (meet < best) best = meet;
+    return d < best;
+  });
   return best;
 }
 
@@ -64,14 +35,12 @@ void OracleQuerier::BeginQuery(std::span<const VertexId> sources) {
   row_of_.Reset();
   row_pool_.clear();
   for (size_t i = 0; i < sources.size(); ++i) {
-    UpwardSearch(oracle_->RankOf(sources[i]), &up_dist_, &up_heap_,
-                 [&](uint32_t u, double d) {
-                   const int32_t head = bucket_head_.Get(u, -1);
-                   bucket_head_.Set(
-                       u, static_cast<int32_t>(bucket_pool_.size()));
-                   bucket_pool_.push_back(
-                       BucketEntry{static_cast<uint32_t>(i), d, head});
-                 });
+    SweepFrom(sources[i], &up_, [&](uint32_t u, double d) {
+      const int32_t head = bucket_head_.Get(u, -1);
+      bucket_head_.Set(u, static_cast<int32_t>(bucket_pool_.size()));
+      bucket_pool_.push_back(BucketEntry{static_cast<uint32_t>(i), d, head});
+      return true;
+    });
   }
 }
 
@@ -83,8 +52,7 @@ std::span<const double> OracleQuerier::DistancesTo(VertexId v) {
   row_pool_.resize(base + num_sources_, kInfDistance);
   row_of_.Set(v, static_cast<int64_t>(base));
   ++lookups_;
-  UpwardSearch(oracle_->RankOf(v), &up_dist_, &up_heap_,
-               [&](uint32_t u, double d) {
+  SweepFrom(v, &up_, [&](uint32_t u, double d) {
     for (int32_t e = bucket_head_.Get(u, -1); e >= 0;
          e = bucket_pool_[e].next) {
       const BucketEntry& b = bucket_pool_[e];
@@ -92,6 +60,7 @@ std::span<const double> OracleQuerier::DistancesTo(VertexId v) {
       const double cand = b.dist + d;
       if (cand < slot) slot = cand;
     }
+    return true;
   });
   return {row_pool_.data() + base, num_sources_};
 }
@@ -100,22 +69,19 @@ std::span<const double> OracleQuerier::MinDistancesTo(
     std::span<const VertexId> set) {
   ++lookups_;
   min_row_.assign(num_sources_, kInfDistance);
-  up_dist_.Reset();
-  up_heap_.Reset();
+  up_.Reset();
   for (const VertexId v : set) {
     const uint32_t r = oracle_->RankOf(v);
-    if (up_dist_.Get(r) != 0.0) {  // skip duplicate set vertices
-      up_dist_.Set(r, 0.0);
-      up_heap_.Push(r, 0.0);
-    }
+    if (up_.dist[r] != 0.0) Reach(&up_, r, 0.0);  // skip duplicates
   }
-  RunUpward(&up_dist_, &up_heap_, [&](uint32_t u, double d) {
+  Sweep(&up_, [&](uint32_t u, double d) {
     for (int32_t e = bucket_head_.Get(u, -1); e >= 0;
          e = bucket_pool_[e].next) {
       const BucketEntry& b = bucket_pool_[e];
       const double cand = b.dist + d;
       if (cand < min_row_[b.source]) min_row_[b.source] = cand;
     }
+    return true;
   });
   return {min_row_.data(), num_sources_};
 }

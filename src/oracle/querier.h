@@ -1,34 +1,51 @@
-// Bidirectional upward-search query kernel over the contraction hierarchy.
+// Rank-order upward-sweep query kernel over the contraction hierarchy.
 //
-// Pairwise: Distance(s, t) runs an upward Dijkstra from each endpoint
-// (one upward CSR serves both directions on an undirected network) with
-// stall-on-demand, and returns the minimum meet-vertex label sum.
+// An upward search visits the nodes it reaches in increasing rank id. The
+// upward CSR lives in rank space and every arc points at a larger id
+// (DistanceOracle::Validate), so all arcs into a node come from smaller
+// ids: by the time the sweep reaches node u, every reached node that can
+// improve u's label has been scanned, and the label is final. That is the
+// topological-order idea of PHAST's sweep, restricted to the nodes the
+// search actually reaches: a pending bitset over ranks scanned word by
+// word with count-trailing-zeros replaces the heap and its decrease-key,
+// and labels live in a plain double array reset through a touched list.
 //
-// One-to-many (the search layer's workhorse): BeginQuery(sources) runs one
-// upward search per query location and scatters the settled labels into
-// per-vertex buckets; DistancesTo(v) then runs a single upward search from
-// v and probes the buckets at every settled vertex, yielding all m exact
-// distances sd(o_i, v) at once. Rows are memoized per vertex for the
-// duration of the query (hub vertices shared by many trajectories are
-// resolved once), with O(1) cross-query reset via version tags.
+// Pairwise: Distance(s, t) sweeps up from s to exhaustion (one upward CSR
+// serves both directions on an undirected network), then sweeps up from t,
+// probing the forward labels at every scanned node for the minimum meet
+// sum; a backward node whose label already reaches that minimum is not
+// relaxed, since nothing above it can beat it.
+//
+// One-to-many (the search layer's workhorse): BeginQuery(sources) sweeps
+// up from each query location and scatters the scanned labels into
+// per-node buckets; DistancesTo(v) then sweeps up from v and probes the
+// buckets at every scanned node, yielding all m exact distances
+// sd(o_i, v) at once. Rows are memoized per vertex for the duration of the
+// query (hub vertices shared by many trajectories are resolved once), with
+// O(1) cross-query reset via version tags.
+//
+// Stall-on-demand: a node is not relaxed when some higher neighbor's
+// current label plus the arc back down is shorter than its own — such a
+// node cannot lie on the upward half of a shortest up-down path.
 //
 // Exactness: every label is a double sum of float arc weights (computed
 // without rounding at realistic scales; see oracle/ch_oracle.h), and the
 // returned distance is a min over such sums — bitwise identical to what a
-// plain Dijkstra on the road network would settle. Stalled vertices keep
-// their labels (valid upper bounds); the optimal meet vertex is never
+// plain Dijkstra on the road network would settle. Stalled nodes keep
+// their labels (valid upper bounds); the optimal meet node is never
 // stalled, so minima stay exact.
 
 #ifndef UOTS_ORACLE_QUERIER_H_
 #define UOTS_ORACLE_QUERIER_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "net/dijkstra.h"
 #include "oracle/ch_oracle.h"
-#include "util/dary_heap.h"
 #include "util/versioned.h"
 
 namespace uots {
@@ -50,15 +67,15 @@ class OracleQuerier {
 
   /// All m exact set distances min_{v in set} sd(source_i, v) — the
   /// spatial kernel of candidate scoring (min over a trajectory's sample
-  /// vertices) — via ONE multi-source upward search: every set vertex
-  /// seeds the heap at distance zero, labels merge to min_{v} d_up(v, u),
-  /// and the bucket probe at each settled node folds the per-source
-  /// minima. One search replaces |set| separate rows; the span is valid
-  /// until the next MinDistancesTo call. Exact by the same argument as
-  /// Distance(): every label sum names a real path, and the optimal
-  /// (sample, meet) pair is settled with its exact double sum because the
-  /// multi-source label at the optimal meet never exceeds the optimal
-  /// single-source label there (and stalling only prunes dominated paths).
+  /// vertices) — via ONE multi-source upward sweep: every set vertex is
+  /// seeded at distance zero, labels merge to min_{v} d_up(v, u), and the
+  /// bucket probe at each scanned node folds the per-source minima. One
+  /// sweep replaces |set| separate rows; the span is valid until the next
+  /// MinDistancesTo call. Exact by the same argument as Distance(): every
+  /// label sum names a real path, and the optimal (sample, meet) pair is
+  /// scanned with its exact double sum because the multi-source label at
+  /// the optimal meet never exceeds the optimal single-source label there
+  /// (and stalling only prunes dominated paths).
   std::span<const double> MinDistancesTo(std::span<const VertexId> set);
 
   /// Drains the lookup counter (distinct rows computed + pairwise calls).
@@ -68,63 +85,101 @@ class OracleQuerier {
     return n;
   }
 
-  /// Vertices settled by upward searches since construction (kernel-cost
-  /// telemetry: settles per lookup is the hierarchy-quality figure).
+  /// Nodes scanned by upward sweeps since construction (kernel-cost
+  /// telemetry: scans per lookup is the hierarchy-quality figure).
   int64_t SettledVertices() const { return settled_; }
 
  private:
-  /// True when rank node u's label `d` is dominated through a higher
-  /// neighbor already labeled by the same search — such nodes cannot
-  /// improve any shortest up-down path, so their out-arcs are not relaxed.
-  bool Stalled(uint32_t u, double d, const DistanceField& dist) const;
+  /// Labels of one upward sweep, indexed by rank node; kInfDistance marks
+  /// an unreached node. Reset() restores only the nodes the last sweep
+  /// reached.
+  struct Labels {
+    std::vector<double> dist;
+    std::vector<uint32_t> touched;
 
-  /// Upward Dijkstra from rank node s, invoking visit(u, label) for every
-  /// settled node (stalled ones included; their labels are valid upper
-  /// bounds). All ids here are rank-space (oracle/ch_oracle.h): searches
-  /// ascend through increasing node ids into the cache-hot top of the
-  /// hierarchy, which is what makes the kernel fast.
-  template <typename Visitor>
-  void UpwardSearch(uint32_t s, DistanceField* dist, VertexHeap* heap,
-                    Visitor&& visit) {
-    dist->Reset();
-    heap->Reset();
-    dist->Set(s, 0.0);
-    heap->Push(s, 0.0);
-    RunUpward(dist, heap, visit);
+    void Reset() {
+      for (const uint32_t u : touched) dist[u] = kInfDistance;
+      touched.clear();
+    }
+  };
+
+  /// Labels rank node r with `d` and marks it pending (first reach only).
+  void Reach(Labels* lab, uint32_t r, double d) {
+    lab->dist[r] = d;
+    lab->touched.push_back(r);
+    const size_t w = r >> 6;
+    pending_[w] |= uint64_t{1} << (r & 63);
+    pending_lo_ = std::min(pending_lo_, w);
+    pending_hi_ = std::max(pending_hi_, w);
   }
 
-  /// Drains an already-seeded heap to exhaustion (multi-source searches
-  /// seed several nodes at zero before calling this).
+  /// True when rank node u's label `d` is dominated through a higher
+  /// neighbor already labeled by the same sweep — such nodes cannot
+  /// improve any shortest up-down path, so their out-arcs are not relaxed.
+  bool Stalled(uint32_t u, double d, const Labels& lab) const {
+    for (const OracleEdge& e : oracle_->UpNeighbors(u)) {
+      if (lab.dist[e.to] + e.weight < d) return true;
+    }
+    return false;
+  }
+
+  /// Scans the pending nodes of `lab` (seeded via Reach) in increasing
+  /// rank order until none is left. Each label is final when its node is
+  /// scanned, since every arc points at a larger id. visit(u, label) runs
+  /// for every scanned node, stalled ones included (their labels are valid
+  /// upper bounds); it returns false to leave u's arcs unrelaxed.
   template <typename Visitor>
-  void RunUpward(DistanceField* dist, VertexHeap* heap, Visitor&& visit) {
-    while (!heap->empty()) {
-      const auto [d, u] = heap->Pop();
-      ++settled_;
-      visit(u, d);
-      if (Stalled(u, d, *dist)) continue;
-      for (const OracleEdge& e : oracle_->UpNeighbors(u)) {
-        const double nd = d + e.weight;
-        const double old = dist->Get(e.to);
-        if (nd < old) {
-          dist->Set(e.to, nd);
-          if (old == kInfDistance) {
-            heap->Push(e.to, nd);
-          } else {
-            heap->DecreaseKey(e.to, nd);
+  void Sweep(Labels* lab, Visitor&& visit) {
+    for (size_t w = pending_lo_; w <= pending_hi_; ++w) {
+      // Relaxations only set bits above u: in later words, or higher in
+      // this one, which the reload below picks up in order.
+      while (pending_[w] != 0) {
+        const uint64_t bits = pending_[w];
+        pending_[w] = bits & (bits - 1);
+        const auto u =
+            static_cast<uint32_t>((w << 6) | std::countr_zero(bits));
+        ++settled_;
+        const double d = lab->dist[u];
+        if (!visit(u, d) || Stalled(u, d, *lab)) continue;
+        for (const OracleEdge& e : oracle_->UpNeighbors(u)) {
+          const double nd = d + e.weight;
+          double& old = lab->dist[e.to];
+          if (nd < old) {
+            if (old == kInfDistance) {
+              Reach(lab, e.to, nd);
+            } else {
+              old = nd;
+            }
           }
         }
       }
     }
+    pending_lo_ = kNoPending;
+    pending_hi_ = 0;
+  }
+
+  /// Single-source sweep from vertex v (original id).
+  template <typename Visitor>
+  void SweepFrom(VertexId v, Labels* lab, Visitor&& visit) {
+    lab->Reset();
+    Reach(lab, oracle_->RankOf(v), 0.0);
+    Sweep(lab, visit);
   }
 
   const DistanceOracle* oracle_;
 
-  // Pairwise scratch.
-  DistanceField fwd_dist_;
-  VertexHeap fwd_heap_;
+  // Sweep scratch: the pending bitset over rank ids (empty between
+  // sweeps) with the word range it may occupy, and two label arrays —
+  // Distance() keeps the forward labels while it sweeps the backward side.
+  static constexpr size_t kNoPending = SIZE_MAX;
+  std::vector<uint64_t> pending_;
+  size_t pending_lo_ = kNoPending;
+  size_t pending_hi_ = 0;
+  Labels fwd_;
+  Labels up_;
 
   // One-to-many scratch. Buckets are a pooled linked list headed by a
-  // version-tagged per-vertex slot, so BeginQuery resets them in O(1).
+  // version-tagged per-node slot, so BeginQuery resets them in O(1).
   struct BucketEntry {
     uint32_t source;
     double dist;
@@ -135,9 +190,7 @@ class OracleQuerier {
   size_t num_sources_ = 0;
   VersionedArray<int64_t> row_of_;  ///< vertex -> base index into row_pool_
   std::vector<double> row_pool_;    ///< memoized rows, m doubles each
-  DistanceField up_dist_;
-  VertexHeap up_heap_;
-  std::vector<double> min_row_;  ///< MinDistancesTo result, m doubles
+  std::vector<double> min_row_;     ///< MinDistancesTo result, m doubles
 
   int64_t lookups_ = 0;
   int64_t settled_ = 0;

@@ -233,6 +233,23 @@ void TripAssembler::Assemble(const TripQuery& q,
                                         b.picks.begin(), b.picks.end());
   });
 
+  // The winners share segments, so each distinct (exit, entry) connector
+  // is resolved once and reused.
+  struct Connector {
+    VertexId exit;
+    VertexId entry;
+    double m;
+  };
+  std::vector<Connector> connectors;
+  const auto connector_m = [&](VertexId exit, VertexId entry) {
+    for (const Connector& c : connectors) {
+      if (c.exit == exit && c.entry == entry) return c.m;
+    }
+    const double d = PairDistance(exit, entry, provider, stats);
+    connectors.push_back(Connector{exit, entry, d});
+    return d;
+  };
+
   for (const Partial& p : pool) {
     if (out->size() >= k) break;
     AssembledTrip trip;
@@ -252,7 +269,7 @@ void TripAssembler::Assemble(const TripQuery& q,
       s.loc_distance = seg.distance;
       if (pos > 0) {
         const SegmentCandidate& prev = (*C[pos - 1])[p.picks[pos - 1]];
-        s.connector_m = PairDistance(prev.exit, seg.entry, provider, stats);
+        s.connector_m = connector_m(prev.exit, seg.entry);
         if (!std::isfinite(s.connector_m)) {
           connected = false;
           break;

@@ -22,7 +22,8 @@
 // carries an oracle, else from a local multi-target Dijkstra; the provider
 // contract makes the two bitwise identical, so answers do not depend on
 // which path ran. When no gap budget constrains the DP, connectors are
-// only computed for the k winning trips.
+// only computed for the k winning trips, and each distinct (exit, entry)
+// pair among them only once: the winners share segments.
 
 #ifndef UOTS_TRIP_ASSEMBLER_H_
 #define UOTS_TRIP_ASSEMBLER_H_

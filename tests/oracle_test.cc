@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/algorithm.h"
@@ -18,6 +21,7 @@
 #include "net/generators.h"
 #include "oracle/distance_provider.h"
 #include "oracle/querier.h"
+#include "storage/crc32c.h"
 #include "traj/generator.h"
 #include "util/rng.h"
 
@@ -175,6 +179,145 @@ TEST(ChOracle, BucketOneToManyMatchesPairwise) {
             << "source " << sources[i] << " target " << v;
       }
     }
+  }
+}
+
+/// The 12x12 grid of `seed` plus a detached three-vertex path (ids n..n+2),
+/// so set and source vertices can sit in different components.
+RoadNetwork GridWithDetachedPath(uint64_t seed) {
+  GridNetworkOptions opts;
+  opts.rows = 12;
+  opts.cols = 12;
+  opts.removal_rate = 0.1;
+  opts.seed = seed;
+  auto grid = MakeGridNetwork(opts);
+  EXPECT_TRUE(grid.ok());
+  GraphBuilder b;
+  const size_t n = grid->NumVertices();
+  for (VertexId v = 0; v < static_cast<VertexId>(n); ++v) {
+    b.AddVertex(grid->PositionOf(v));
+  }
+  for (VertexId v = 0; v < static_cast<VertexId>(n); ++v) {
+    for (const AdjacencyEntry& e : grid->Neighbors(v)) {
+      if (v < e.to) b.AddEdge(v, e.to, e.weight);
+    }
+  }
+  const auto far = static_cast<VertexId>(n);
+  for (int i = 0; i < 3; ++i) b.AddVertex(Point{1e6 + 100.0 * i, 1e6});
+  b.AddEdge(far, far + 1);
+  b.AddEdge(far + 1, far + 2);
+  auto g = std::move(b).Finalize(/*require_connected=*/false);
+  EXPECT_TRUE(g.ok());
+  return std::move(*g);
+}
+
+TEST(ChOracle, MinDistancesToMatchesDijkstraSetMinimum) {
+  const RoadNetwork g = GridWithDetachedPath(13);
+  const size_t n = g.NumVertices();
+  const auto far = static_cast<VertexId>(n - 3);  // the detached path
+  const DistanceOracle oracle = BuildOracle(g);
+  OracleQuerier querier(oracle);
+
+  Rng rng(0xc0ffeeu);
+  const auto random_vertex = [&] {
+    return static_cast<VertexId>(rng.Next() % far);
+  };
+  for (int round = 0; round < 5; ++round) {
+    std::vector<VertexId> sources;
+    for (int i = 0; i < 4; ++i) sources.push_back(random_vertex());
+    if (round == 4) sources.push_back(far + 1);
+    std::vector<ShortestPathTree> trees;
+    for (const VertexId s : sources) {
+      trees.push_back(ComputeShortestPathTree(g, s));
+    }
+    const auto expect_set_minimum = [&](const std::vector<VertexId>& set) {
+      const std::vector<double> row = [&] {
+        const auto r = querier.MinDistancesTo(set);
+        return std::vector<double>(r.begin(), r.end());
+      }();
+      ASSERT_EQ(row.size(), sources.size());
+      for (size_t i = 0; i < sources.size(); ++i) {
+        double want = kInfDistance;
+        for (const VertexId v : set) want = std::min(want, trees[i].dist[v]);
+        EXPECT_EQ(row[i], want) << "round " << round << " source " << i
+                                << " set size " << set.size();
+      }
+    };
+    const auto expect_row = [&](VertexId v) {
+      const auto row = querier.DistancesTo(v);
+      ASSERT_EQ(row.size(), sources.size());
+      for (size_t i = 0; i < sources.size(); ++i) {
+        EXPECT_EQ(row[i], trees[i].dist[v]) << "source " << i << " to " << v;
+      }
+    };
+
+    querier.BeginQuery(sources);
+    for (int j = 0; j < 6; ++j) {
+      std::vector<VertexId> set;
+      const int size = 2 + static_cast<int>(rng.Next() % 7);
+      for (int k = 0; k < size; ++k) set.push_back(random_vertex());
+      set.push_back(set[rng.Next() % set.size()]);  // a duplicate vertex
+      expect_set_minimum(set);
+    }
+    expect_set_minimum({random_vertex(), sources[0], random_vertex()});
+    expect_set_minimum({random_vertex()});
+    expect_set_minimum({});
+    expect_set_minimum({far + 2, random_vertex()});
+    expect_set_minimum({far, far + 2});
+
+    // The trip assembler interleaves pairwise calls with one-to-many rows:
+    // a Distance() between BeginQuery and DistancesTo leaves rows intact.
+    const VertexId v = random_vertex();
+    expect_row(v);
+    const VertexId a = random_vertex();
+    const VertexId b = random_vertex();
+    EXPECT_EQ(querier.Distance(a, b), ComputeShortestPathTree(g, a).dist[b]);
+    expect_row(v);                 // memoized row
+    expect_row(random_vertex());   // fresh row after the pairwise call
+    expect_set_minimum({v, a, b});
+  }
+}
+
+/// CRC32C of one hierarchy column's raw bytes.
+template <typename T>
+uint32_t ColumnCrc(std::span<const T> column) {
+  return storage::Crc32c(column.data(), column.size_bytes());
+}
+
+TEST(ChOracle, BuildIsByteStable) {
+  // Golden checksums of the three hierarchy columns for two seeded
+  // networks: any change to the contraction order or to a witness search's
+  // outcome moves at least one of them. Faster builds must keep them.
+  struct Golden {
+    size_t up_edges;
+    uint32_t ranks_crc;
+    uint32_t offsets_crc;
+    uint32_t edges_crc;
+  };
+  GridNetworkOptions gopts;
+  gopts.rows = 30;
+  gopts.cols = 30;
+  gopts.removal_rate = 0.05;
+  gopts.seed = 3;
+  auto grid = MakeGridNetwork(gopts);
+  ASSERT_TRUE(grid.ok());
+  RingRadialNetworkOptions ropts;
+  ropts.rings = 18;
+  ropts.inner_ring_vertices = 10;
+  ropts.seed = 4;
+  auto ring = MakeRingRadialNetwork(ropts);
+  ASSERT_TRUE(ring.ok());
+
+  const std::pair<const RoadNetwork*, Golden> cases[] = {
+      {&*grid, Golden{4456, 0xd54dc1edu, 0x101536f6u, 0xb6e51978u}},
+      {&*ring, Golden{5849, 0x3cabbf6cu, 0x5170ad6fu, 0x30b9cd7du}},
+  };
+  for (const auto& [g, golden] : cases) {
+    const DistanceOracle oracle = BuildOracle(*g);
+    EXPECT_EQ(oracle.NumUpEdges(), golden.up_edges);
+    EXPECT_EQ(ColumnCrc(oracle.ranks()), golden.ranks_crc);
+    EXPECT_EQ(ColumnCrc(oracle.up_offsets()), golden.offsets_crc);
+    EXPECT_EQ(ColumnCrc(oracle.up_edges()), golden.edges_crc);
   }
 }
 

@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cache/query_key.h"
@@ -325,6 +327,44 @@ TEST(TripTest, OracleOnOffIsBitIdentical) {
     EXPECT_GT(a->stats.oracle_lookups + b->stats.oracle_lookups, 0)
         << "query " << i;
   }
+}
+
+TEST(TripTest, SharedConnectorsAreResolvedOnce) {
+  // The k winners of an ordered query often share segments, hence
+  // connectors: each distinct (exit, entry) pair costs one oracle lookup,
+  // not one per trip, and sharing must not change a bit of the answer.
+  auto db = MakeGridDb();
+  auto oracle = DistanceOracle::Build(db->network());
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  db->AttachOracle(
+      std::make_shared<const DistanceOracle>(std::move(*oracle)));
+  TripPlannerOptions without;
+  without.use_oracle = false;
+  TripPlanner oracle_planner(*db);
+  TripPlanner dijkstra_planner(*db, without);
+
+  int shared = 0;
+  for (TripQuery q : MakeQueries(*db, 12)) {
+    q.ordered = true;  // no visit-order matrix: connectors are all lookups
+    auto a = oracle_planner.Plan(q);
+    auto b = dijkstra_planner.Plan(q);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_TRUE(a->trips == b->trips);
+
+    std::vector<std::pair<VertexId, VertexId>> pairs;
+    for (const AssembledTrip& trip : a->trips) {
+      for (size_t p = 1; p < trip.segments.size(); ++p) {
+        pairs.emplace_back(trip.segments[p - 1].exit, trip.segments[p].entry);
+      }
+    }
+    const size_t connectors = pairs.size();
+    std::sort(pairs.begin(), pairs.end());
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+    EXPECT_EQ(a->stats.oracle_lookups, static_cast<int64_t>(pairs.size()));
+    if (pairs.size() < connectors) ++shared;
+  }
+  EXPECT_GT(shared, 0) << "no query's winners shared a connector";
 }
 
 TEST(TripTest, CacheKeySeparatesEveryQueryKnob) {

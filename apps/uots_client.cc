@@ -28,18 +28,18 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/datasets.h"
 #include "common/report.h"
-#include "core/batch.h"
 #include "core/workload.h"
 #include "server/client.h"
 #include "server/http.h"
+#include "server/request_kind.h"
 #include "storage/resolver.h"
 #include "text/zipf.h"
 #include "traj/generator.h"
-#include "trip/planner.h"
 #include "trip/workload.h"
 #include "util/histogram.h"
 #include "util/rng.h"
@@ -213,9 +213,18 @@ bool ParseHostPort(const std::string& s, std::string* host, uint16_t* port) {
   return true;
 }
 
+/// --verify for query kind `Kind` (server/request_kind.h). Three passes
+/// per query: cache-default (miss or hit), cache-default again (a hit if
+/// the server caches), and cache-bypass (always computed). Every pass must
+/// match a cold in-process engine of the same kind bit for bit — ids, every
+/// score double and, for trips, every segment's provenance — which is the
+/// "caching changes no output bit" check, exercised over the real wire.
+template <typename Kind>
 int RunVerify(const Flags& flags, const uots::TrajectoryDatabase& db,
-              const std::vector<uots::UotsQuery>& queries,
-              uots::AlgorithmKind kind) {
+              const std::vector<typename Kind::Query>& queries,
+              typename Kind::Variant variant) {
+  constexpr const char* label =
+      std::is_same_v<Kind, uots::TripKind> ? "trip verify" : "verify";
   uots::BlockingClient client;
   uots::Status st =
       client.Connect(flags.host, static_cast<uint16_t>(flags.port));
@@ -223,132 +232,52 @@ int RunVerify(const Flags& flags, const uots::TrajectoryDatabase& db,
     std::fprintf(stderr, "connect: %s\n", st.ToString().c_str());
     return 1;
   }
-  uots::QueryOptions local_opts;
-  local_opts.algorithm = kind;
-  int mismatches = 0;
-  int64_t hits_observed = 0;
-  // Three passes per query: cache-default (miss or hit), cache-default
-  // again (a hit if the server caches), and cache-bypass (always computed).
-  // Every pass must match the in-process engine bit for bit — this is the
-  // "caching changes no output bit" check, exercised over the real wire.
-  static constexpr const char* kPassName[] = {"default", "default-again",
-                                              "bypass"};
-  for (size_t i = 0; i < queries.size(); ++i) {
-    auto local = uots::RunQuery(db, queries[i], local_opts);
-    if (!local.ok()) {
-      std::fprintf(stderr, "query %zu: local: %s\n", i,
-                   local.status().ToString().c_str());
-      return 1;
-    }
-    for (int pass = 0; pass < 3; ++pass) {
-      uots::QueryRequest req;
-      req.id = static_cast<int64_t>(i) * 4 + pass;
-      req.query = queries[i];
-      req.algorithm = kind;
-      req.has_algorithm = true;
-      req.cache = pass == 2 ? uots::CacheMode::kBypass
-                            : uots::CacheMode::kDefault;
-      auto remote = client.Call(req);
-      if (!remote.ok()) {
-        std::fprintf(stderr, "query %zu (%s): transport: %s\n", i,
-                     kPassName[pass], remote.status().ToString().c_str());
-        return 1;
-      }
-      if (!remote->ok()) {
-        std::fprintf(stderr, "query %zu (%s): server: %s (%s)\n", i,
-                     kPassName[pass], ToString(remote->status),
-                     remote->error.c_str());
-        return 1;
-      }
-      if (remote->cached) ++hits_observed;
-      bool same = remote->results.size() == local->items.size();
-      for (size_t j = 0; same && j < local->items.size(); ++j) {
-        const auto& a = remote->results[j];
-        const auto& b = local->items[j];
-        same = a.id == b.id && a.score == b.score &&
-               a.spatial_sim == b.spatial_sim &&
-               a.textual_sim == b.textual_sim;
-      }
-      if (!same) {
-        ++mismatches;
-        std::fprintf(stderr, "query %zu (%s): MISMATCH (%zu vs %zu results)\n",
-                     i, kPassName[pass], remote->results.size(),
-                     local->items.size());
-      }
-    }
-  }
-  if (mismatches == 0) {
-    std::printf(
-        "verify: %zu/%zu queries bit-for-bit identical across "
-        "default/repeat/bypass (%" PRId64 " cache hits observed)\n",
-        queries.size(), queries.size(), hits_observed);
-    return 0;
-  }
-  std::printf("verify: %d mismatches over %zu queries\n", mismatches,
-              queries.size());
-  return 1;
-}
-
-/// Trip-mode verify: the same three-pass cache drill as RunVerify, but the
-/// reference is a cold in-process TripPlanner over the locally built
-/// database. AssembledTrip::operator== compares every score bit and every
-/// segment's provenance, so "identical" here is exact, not approximate.
-int RunTripVerify(const Flags& flags, const uots::TrajectoryDatabase& db,
-                  const std::vector<uots::TripQuery>& queries) {
-  uots::BlockingClient client;
-  uots::Status st =
-      client.Connect(flags.host, static_cast<uint16_t>(flags.port));
-  if (!st.ok()) {
-    std::fprintf(stderr, "connect: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  uots::TripPlanner planner(db);
   int mismatches = 0;
   int64_t hits_observed = 0;
   static constexpr const char* kPassName[] = {"default", "default-again",
                                               "bypass"};
   for (size_t i = 0; i < queries.size(); ++i) {
-    auto local = planner.Plan(queries[i]);
+    auto local = Kind::Run(*Kind::MakeEngine(db, variant, {}), queries[i]);
     if (!local.ok()) {
-      std::fprintf(stderr, "trip %zu: local: %s\n", i,
+      std::fprintf(stderr, "%s: query %zu: local: %s\n", label, i,
                    local.status().ToString().c_str());
       return 1;
     }
+    const auto& expected = (*local).*Kind::kOutputBody;
     for (int pass = 0; pass < 3; ++pass) {
-      uots::TripRequest req;
+      typename Kind::Request req = Kind::MakeRequest(queries[i], variant);
       req.id = static_cast<int64_t>(i) * 4 + pass;
-      req.query = queries[i];
       req.cache = pass == 2 ? uots::CacheMode::kBypass
                             : uots::CacheMode::kDefault;
       auto remote = client.Call(req);
       if (!remote.ok()) {
-        std::fprintf(stderr, "trip %zu (%s): transport: %s\n", i,
+        std::fprintf(stderr, "%s: query %zu (%s): transport: %s\n", label, i,
                      kPassName[pass], remote.status().ToString().c_str());
         return 1;
       }
       if (!remote->ok()) {
-        std::fprintf(stderr, "trip %zu (%s): server: %s (%s)\n", i,
-                     kPassName[pass], ToString(remote->status),
+        std::fprintf(stderr, "%s: query %zu (%s): server: %s (%s)\n", label,
+                     i, kPassName[pass], ToString(remote->status),
                      remote->error.c_str());
         return 1;
       }
       if (remote->cached) ++hits_observed;
-      if (remote->trips != local->trips) {
+      const auto& got = (*remote).*Kind::kResponseBody;
+      if (got != expected) {
         ++mismatches;
-        std::fprintf(stderr, "trip %zu (%s): MISMATCH (%zu vs %zu trips)\n",
-                     i, kPassName[pass], remote->trips.size(),
-                     local->trips.size());
+        std::fprintf(stderr, "%s: query %zu (%s): MISMATCH (%zu vs %zu)\n",
+                     label, i, kPassName[pass], got.size(), expected.size());
       }
     }
   }
   if (mismatches == 0) {
     std::printf(
-        "trip verify: %zu/%zu queries bit-for-bit identical across "
+        "%s: %zu/%zu queries bit-for-bit identical across "
         "default/repeat/bypass (%" PRId64 " cache hits observed)\n",
-        queries.size(), queries.size(), hits_observed);
+        label, queries.size(), queries.size(), hits_observed);
     return 0;
   }
-  std::printf("trip verify: %d mismatches over %zu queries\n", mismatches,
+  std::printf("%s: %d mismatches over %zu queries\n", label, mismatches,
               queries.size());
   return 1;
 }
@@ -463,171 +392,19 @@ int RunIngest(const Flags& flags, const uots::TrajectoryDatabase& db,
                  queries_r.status().ToString().c_str());
     return 1;
   }
-  return RunVerify(flags, ref, *queries_r, kind);
+  return RunVerify<uots::RetrievalKind>(flags, ref, *queries_r, kind);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string v;
-    if (ParseFlag(argv[i], "--host", &v)) {
-      flags.host = v;
-    } else if (ParseFlag(argv[i], "--port", &v)) {
-      flags.port = std::atoi(v.c_str());
-    } else if (ParseFlag(argv[i], "--city", &v)) {
-      flags.city = v;
-    } else if (ParseFlag(argv[i], "--dataset", &v)) {
-      flags.dataset = v;
-    } else if (ParseFlag(argv[i], "--trajectories", &v)) {
-      flags.trajectories = std::atoi(v.c_str());
-    } else if (ParseFlag(argv[i], "--connections", &v)) {
-      flags.connections = std::atoi(v.c_str());
-    } else if (ParseFlag(argv[i], "--requests", &v)) {
-      flags.requests = std::atoi(v.c_str());
-    } else if (ParseFlag(argv[i], "--rate", &v)) {
-      flags.rate = std::atof(v.c_str());
-    } else if (ParseFlag(argv[i], "--duration-s", &v)) {
-      flags.duration_s = std::atof(v.c_str());
-    } else if (ParseFlag(argv[i], "--num-queries", &v)) {
-      flags.num_queries = std::atoi(v.c_str());
-    } else if (ParseFlag(argv[i], "--locations", &v)) {
-      flags.locations = std::atoi(v.c_str());
-    } else if (ParseFlag(argv[i], "--keywords", &v)) {
-      flags.keywords = std::atoi(v.c_str());
-    } else if (ParseFlag(argv[i], "--lambda", &v)) {
-      flags.lambda = std::atof(v.c_str());
-    } else if (ParseFlag(argv[i], "--k", &v)) {
-      flags.k = std::atoi(v.c_str());
-    } else if (ParseFlag(argv[i], "--seed", &v)) {
-      flags.seed = static_cast<uint64_t>(std::atoll(v.c_str()));
-    } else if (ParseFlag(argv[i], "--algorithm", &v)) {
-      flags.algorithm = v;
-    } else if (ParseFlag(argv[i], "--deadline-ms", &v)) {
-      flags.deadline_ms = std::atof(v.c_str());
-    } else if (ParseFlag(argv[i], "--zipf", &v)) {
-      flags.zipf = std::atof(v.c_str());
-    } else if (ParseFlag(argv[i], "--cache", &v)) {
-      flags.cache = v;
-    } else if (ParseFlag(argv[i], "--min-hit-rate", &v)) {
-      flags.min_hit_rate = std::atof(v.c_str());
-    } else if (ParseFlag(argv[i], "--json-out", &v)) {
-      flags.json_out = v;
-      flags.json_out_set = true;
-    } else if (ParseFlag(argv[i], "--trip-gap", &v)) {
-      flags.trip_gap = std::atof(v.c_str());
-    } else if (ParseBoolFlag(argv[i], "--trip")) {
-      flags.trip = true;
-    } else if (ParseFlag(argv[i], "--scrape-admin", &v)) {
-      flags.scrape_admin = v;
-    } else if (ParseFlag(argv[i], "--ingest", &v)) {
-      flags.ingest = std::atoi(v.c_str());
-    } else if (ParseFlag(argv[i], "--ingest-batch", &v)) {
-      flags.ingest_batch = std::atoi(v.c_str());
-    } else if (ParseBoolFlag(argv[i], "--verify")) {
-      flags.verify = true;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 2;
-    }
-  }
-
-  auto kind_r = uots::ParseAlgorithmKind(flags.algorithm);
-  if (!kind_r.ok()) {
-    std::fprintf(stderr, "unknown algorithm %s\n", flags.algorithm.c_str());
-    return 2;
-  }
-  const uots::AlgorithmKind kind = *kind_r;
-  if (flags.cache != "default" && flags.cache != "bypass") {
-    std::fprintf(stderr, "--cache must be default or bypass\n");
-    return 2;
-  }
+/// The load run for query kind `Kind`: closed or open loop over `queries`,
+/// a latency/error report, and the BENCH_*.json row.
+template <typename Kind>
+int RunLoad(const Flags& flags,
+            const std::vector<typename Kind::Query>& queries,
+            typename Kind::Variant variant) {
   const uots::CacheMode cache_mode = flags.cache == "bypass"
                                          ? uots::CacheMode::kBypass
                                          : uots::CacheMode::kDefault;
-  if (flags.trip && !flags.json_out_set) {
-    flags.json_out = "BENCH_trip.json";
-  }
-
-  // The same deterministic dataset + workload the server loaded: needed for
-  // --verify, and it gives the load generator realistic queries.
-  std::unique_ptr<uots::TrajectoryDatabase> db;
-  if (!flags.dataset.empty()) {
-    std::printf("loading %s workload...\n", flags.dataset.c_str());
-    std::fflush(stdout);
-    auto loaded = uots::storage::LoadDatabaseFromPath(flags.dataset);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "dataset: %s\n",
-                   loaded.status().ToString().c_str());
-      return 1;
-    }
-    db = std::move(loaded->db);
-  } else {
-    City city;
-    if (flags.city == "BRN") {
-      city = City::kBRN;
-    } else if (flags.city == "NRN") {
-      city = City::kNRN;
-    } else {
-      std::fprintf(stderr, "unknown city %s\n", flags.city.c_str());
-      return 2;
-    }
-    std::printf("loading %s workload...\n", flags.city.c_str());
-    std::fflush(stdout);
-    db = flags.trajectories > 0
-             ? uots::bench::LoadCity(city, flags.trajectories)
-             : uots::bench::LoadCity(city);
-  }
-  uots::WorkloadOptions wopts;
-  wopts.num_queries = flags.num_queries;
-  wopts.num_locations = flags.locations;
-  wopts.num_keywords = flags.keywords;
-  wopts.lambda = flags.lambda;
-  wopts.k = flags.k;
-  wopts.seed = flags.seed;
-
-  if (flags.ingest > 0) {
-    return RunIngest(flags, *db, wopts, kind);
-  }
-
-  // Trip mode swaps the workload family; everything downstream (loop
-  // shape, zipf selection, latency accounting) is shared.
-  std::vector<uots::UotsQuery> queries;
-  std::vector<uots::TripQuery> trip_queries;
-  if (flags.trip) {
-    uots::TripWorkloadOptions topts;
-    topts.num_queries = flags.num_queries;
-    topts.num_locations = flags.locations;
-    topts.num_keywords = flags.keywords;
-    topts.lambda = flags.lambda;
-    topts.k = flags.k;
-    topts.gap_budget_m = flags.trip_gap;
-    topts.seed = flags.seed;
-    auto tq = uots::MakeTripWorkload(*db, topts);
-    if (!tq.ok()) {
-      std::fprintf(stderr, "trip workload: %s\n",
-                   tq.status().ToString().c_str());
-      return 1;
-    }
-    trip_queries = std::move(*tq);
-  } else {
-    auto queries_r = uots::MakeWorkload(*db, wopts);
-    if (!queries_r.ok()) {
-      std::fprintf(stderr, "workload: %s\n",
-                   queries_r.status().ToString().c_str());
-      return 1;
-    }
-    queries = std::move(*queries_r);
-  }
-  const size_t workload_size =
-      flags.trip ? trip_queries.size() : queries.size();
-
-  if (flags.verify) {
-    return flags.trip ? RunTripVerify(flags, *db, trip_queries)
-                      : RunVerify(flags, *db, queries, kind);
-  }
-
+  const size_t workload_size = queries.size();
   std::string admin_host;
   uint16_t admin_port = 0;
   AdminScrape scrape_before;
@@ -701,29 +478,9 @@ int main(int argc, char** argv) {
         } else {
           qi = next_request.load() % static_cast<int64_t>(workload_size);
         }
-        if (flags.trip) {
-          uots::TripRequest req;
-          req.id = tick + t * 1000000;
-          req.query = trip_queries[static_cast<size_t>(qi)];
-          req.deadline_ms = flags.deadline_ms;
-          req.cache = cache_mode;
-          auto resp = client.Call(req);
-          const auto done = std::chrono::steady_clock::now();
-          if (!resp.ok()) {
-            ++my.transport_errors;
-            break;
-          }
-          my.Count(resp->status, resp->cached,
-                   std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       done - scheduled)
-                       .count());
-          continue;
-        }
-        uots::QueryRequest req;
+        typename Kind::Request req =
+            Kind::MakeRequest(queries[static_cast<size_t>(qi)], variant);
         req.id = tick + t * 1000000;
-        req.query = queries[static_cast<size_t>(qi)];
-        req.algorithm = kind;
-        req.has_algorithm = true;
         req.deadline_ms = flags.deadline_ms;
         req.cache = cache_mode;
         auto resp = client.Call(req);
@@ -870,4 +627,156 @@ int main(int argc, char** argv) {
     return 1;
   }
   return total.transport_errors == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Flags flags;
+  for (int i = 1; i < argc; ++i) {
+    std::string v;
+    if (ParseFlag(argv[i], "--host", &v)) {
+      flags.host = v;
+    } else if (ParseFlag(argv[i], "--port", &v)) {
+      flags.port = std::atoi(v.c_str());
+    } else if (ParseFlag(argv[i], "--city", &v)) {
+      flags.city = v;
+    } else if (ParseFlag(argv[i], "--dataset", &v)) {
+      flags.dataset = v;
+    } else if (ParseFlag(argv[i], "--trajectories", &v)) {
+      flags.trajectories = std::atoi(v.c_str());
+    } else if (ParseFlag(argv[i], "--connections", &v)) {
+      flags.connections = std::atoi(v.c_str());
+    } else if (ParseFlag(argv[i], "--requests", &v)) {
+      flags.requests = std::atoi(v.c_str());
+    } else if (ParseFlag(argv[i], "--rate", &v)) {
+      flags.rate = std::atof(v.c_str());
+    } else if (ParseFlag(argv[i], "--duration-s", &v)) {
+      flags.duration_s = std::atof(v.c_str());
+    } else if (ParseFlag(argv[i], "--num-queries", &v)) {
+      flags.num_queries = std::atoi(v.c_str());
+    } else if (ParseFlag(argv[i], "--locations", &v)) {
+      flags.locations = std::atoi(v.c_str());
+    } else if (ParseFlag(argv[i], "--keywords", &v)) {
+      flags.keywords = std::atoi(v.c_str());
+    } else if (ParseFlag(argv[i], "--lambda", &v)) {
+      flags.lambda = std::atof(v.c_str());
+    } else if (ParseFlag(argv[i], "--k", &v)) {
+      flags.k = std::atoi(v.c_str());
+    } else if (ParseFlag(argv[i], "--seed", &v)) {
+      flags.seed = static_cast<uint64_t>(std::atoll(v.c_str()));
+    } else if (ParseFlag(argv[i], "--algorithm", &v)) {
+      flags.algorithm = v;
+    } else if (ParseFlag(argv[i], "--deadline-ms", &v)) {
+      flags.deadline_ms = std::atof(v.c_str());
+    } else if (ParseFlag(argv[i], "--zipf", &v)) {
+      flags.zipf = std::atof(v.c_str());
+    } else if (ParseFlag(argv[i], "--cache", &v)) {
+      flags.cache = v;
+    } else if (ParseFlag(argv[i], "--min-hit-rate", &v)) {
+      flags.min_hit_rate = std::atof(v.c_str());
+    } else if (ParseFlag(argv[i], "--json-out", &v)) {
+      flags.json_out = v;
+      flags.json_out_set = true;
+    } else if (ParseFlag(argv[i], "--trip-gap", &v)) {
+      flags.trip_gap = std::atof(v.c_str());
+    } else if (ParseBoolFlag(argv[i], "--trip")) {
+      flags.trip = true;
+    } else if (ParseFlag(argv[i], "--scrape-admin", &v)) {
+      flags.scrape_admin = v;
+    } else if (ParseFlag(argv[i], "--ingest", &v)) {
+      flags.ingest = std::atoi(v.c_str());
+    } else if (ParseFlag(argv[i], "--ingest-batch", &v)) {
+      flags.ingest_batch = std::atoi(v.c_str());
+    } else if (ParseBoolFlag(argv[i], "--verify")) {
+      flags.verify = true;
+    } else {
+      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      return 2;
+    }
+  }
+
+  auto kind_r = uots::ParseAlgorithmKind(flags.algorithm);
+  if (!kind_r.ok()) {
+    std::fprintf(stderr, "unknown algorithm %s\n", flags.algorithm.c_str());
+    return 2;
+  }
+  const uots::AlgorithmKind kind = *kind_r;
+  if (flags.cache != "default" && flags.cache != "bypass") {
+    std::fprintf(stderr, "--cache must be default or bypass\n");
+    return 2;
+  }
+  if (flags.trip && !flags.json_out_set) {
+    flags.json_out = "BENCH_trip.json";
+  }
+
+  // The same deterministic dataset + workload the server loaded: needed for
+  // --verify, and it gives the load generator realistic queries.
+  std::unique_ptr<uots::TrajectoryDatabase> db;
+  if (!flags.dataset.empty()) {
+    std::printf("loading %s workload...\n", flags.dataset.c_str());
+    std::fflush(stdout);
+    auto loaded = uots::storage::LoadDatabaseFromPath(flags.dataset);
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "dataset: %s\n",
+                   loaded.status().ToString().c_str());
+      return 1;
+    }
+    db = std::move(loaded->db);
+  } else {
+    City city;
+    if (flags.city == "BRN") {
+      city = City::kBRN;
+    } else if (flags.city == "NRN") {
+      city = City::kNRN;
+    } else {
+      std::fprintf(stderr, "unknown city %s\n", flags.city.c_str());
+      return 2;
+    }
+    std::printf("loading %s workload...\n", flags.city.c_str());
+    std::fflush(stdout);
+    db = flags.trajectories > 0
+             ? uots::bench::LoadCity(city, flags.trajectories)
+             : uots::bench::LoadCity(city);
+  }
+  uots::WorkloadOptions wopts;
+  wopts.num_queries = flags.num_queries;
+  wopts.num_locations = flags.locations;
+  wopts.num_keywords = flags.keywords;
+  wopts.lambda = flags.lambda;
+  wopts.k = flags.k;
+  wopts.seed = flags.seed;
+
+  if (flags.ingest > 0) {
+    return RunIngest(flags, *db, wopts, kind);
+  }
+
+  if (flags.trip) {
+    uots::TripWorkloadOptions topts;
+    topts.num_queries = flags.num_queries;
+    topts.num_locations = flags.locations;
+    topts.num_keywords = flags.keywords;
+    topts.lambda = flags.lambda;
+    topts.k = flags.k;
+    topts.gap_budget_m = flags.trip_gap;
+    topts.seed = flags.seed;
+    auto tq = uots::MakeTripWorkload(*db, topts);
+    if (!tq.ok()) {
+      std::fprintf(stderr, "trip workload: %s\n",
+                   tq.status().ToString().c_str());
+      return 1;
+    }
+    const auto planner = uots::TripKind::Variant::kPlanner;
+    return flags.verify ? RunVerify<uots::TripKind>(flags, *db, *tq, planner)
+                        : RunLoad<uots::TripKind>(flags, *tq, planner);
+  }
+  auto queries = uots::MakeWorkload(*db, wopts);
+  if (!queries.ok()) {
+    std::fprintf(stderr, "workload: %s\n",
+                 queries.status().ToString().c_str());
+    return 1;
+  }
+  return flags.verify
+             ? RunVerify<uots::RetrievalKind>(flags, *db, *queries, kind)
+             : RunLoad<uots::RetrievalKind>(flags, *queries, kind);
 }

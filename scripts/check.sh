@@ -1,20 +1,29 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, and run the full test suite in
 # Release, again under ASan+UBSan, and once more with the span tracer
-# compiled out (-DUOTS_TRACE=OFF). Run from the repo root:
+# compiled out (-DUOTS_TRACE=OFF); then a ThreadSanitizer pass over the
+# tests that hand work between threads. Run from the repo root:
 #
-#   scripts/check.sh            # all three presets
+#   scripts/check.sh            # all four presets
 #   scripts/check.sh release    # just the fast one
 #   scripts/check.sh asan       # just the sanitizer pass
 #   scripts/check.sh trace-off  # just the tracer-compiled-out pass
+#   scripts/check.sh tsan       # just the ThreadSanitizer pass
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 jobs=$(nproc 2>/dev/null || echo 2)
 presets=("$@")
-if [[ $# -eq 0 ]]; then presets=(release asan trace-off); fi
+if [[ $# -eq 0 ]]; then presets=(release asan trace-off tsan); fi
 
-declare -A builddir=([release]=build [asan]=build-asan [trace-off]=build-trace-off)
+declare -A builddir=([release]=build [asan]=build-asan
+                     [trace-off]=build-trace-off [tsan]=build-tsan)
+# The ThreadSanitizer pass: the server, trip-server, cache and ingest tests,
+# which race worker completions against the reactor, cache hits against
+# inserts, and compaction swaps against live queries. (The rest of the
+# suite is not yet swept under TSan.)
+tsan_tests=(uots_server_integration_test uots_trip_server_test
+            uots_cache_test uots_ingest_test)
 # Output checks read the whole stream (`grep ... >/dev/null`, not `grep -q`):
 # under pipefail, `grep -q` exiting at its first match makes a writer still
 # sending (curl) fail with EPIPE, which fails the step although the match
@@ -24,6 +33,20 @@ ordering_tests='*PipelinedRequestsAnswerInOrder:*CacheHitWaits*'
 for preset in "${presets[@]}"; do
   echo "==> preset: ${preset}"
   cmake --preset "${preset}"
+  if [[ "${preset}" == "tsan" ]]; then
+    # Each binary runs directly, with full output; TSan makes a run that
+    # reported a race exit nonzero. The ordering tests then repeat, since
+    # they race a worker's completion against the reactor's cache hits.
+    cmake --build --preset tsan -j "${jobs}" --target "${tsan_tests[@]}"
+    for t in "${tsan_tests[@]}"; do
+      echo "==> tsan: ${t}"
+      "${builddir[tsan]}/tests/${t}"
+    done
+    echo "==> tsan: response ordering x50"
+    "${builddir[tsan]}/tests/uots_server_integration_test" \
+      --gtest_filter="${ordering_tests}" --gtest_repeat=50 --gtest_brief=1
+    continue
+  fi
   cmake --build --preset "${preset}" -j "${jobs}"
   ctest --preset "${preset}" -j "${jobs}"
   if [[ "${preset}" == "asan" ]]; then

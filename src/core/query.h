@@ -34,6 +34,13 @@ struct ScoredTrajectory {
   double score = 0.0;        ///< SimU = lambda*spatial + (1-lambda)*textual
   double spatial_sim = 0.0;  ///< SimS in [0,1]
   double textual_sim = 0.0;  ///< SimT in [0,1]
+
+  /// Exact equality: the id and every score bit.
+  friend bool operator==(const ScoredTrajectory& a,
+                         const ScoredTrajectory& b) {
+    return a.id == b.id && a.score == b.score &&
+           a.spatial_sim == b.spatial_sim && a.textual_sim == b.textual_sim;
+  }
 };
 
 /// \brief Top-k answer plus instrumentation.

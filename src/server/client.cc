@@ -11,6 +11,18 @@
 
 namespace uots {
 
+namespace {
+
+/// Decodes a received frame's payload with `parse`, passing errors on.
+template <typename Response>
+Result<Response> Decode(Result<std::string> payload,
+                        Result<Response> (*parse)(std::string_view)) {
+  if (!payload.ok()) return payload.status();
+  return parse(*payload);
+}
+
+}  // namespace
+
 BlockingClient::~BlockingClient() { Close(); }
 
 void BlockingClient::Close() {
@@ -59,21 +71,19 @@ Status BlockingClient::WriteAll(const char* data, size_t n) {
   return Status::OK();
 }
 
-Status BlockingClient::Send(const QueryRequest& req) {
+Status BlockingClient::SendPayload(const std::string& payload) {
   if (fd_ < 0) return Status::InvalidArgument("not connected");
-  const std::string frame = EncodeFrame(EncodeQueryRequest(req));
+  const std::string frame = EncodeFrame(payload);
   return WriteAll(frame.data(), frame.size());
 }
 
-Result<QueryResponse> BlockingClient::Receive() {
+Result<std::string> BlockingClient::ReceivePayload() {
   if (fd_ < 0) return Status::InvalidArgument("not connected");
   for (;;) {
     std::string payload;
     size_t oversized = 0;
     const FrameDecoder::Next next = decoder_.Poll(&payload, &oversized);
-    if (next == FrameDecoder::Next::kFrame) {
-      return ParseQueryResponse(payload);
-    }
+    if (next == FrameDecoder::Next::kFrame) return payload;
     if (next == FrameDecoder::Next::kOversized) {
       return Status::IOError("server sent an oversized frame (" +
                              std::to_string(oversized) + " bytes)");
@@ -88,6 +98,22 @@ Result<QueryResponse> BlockingClient::Receive() {
     if (errno == EINTR) continue;
     return Status::IOError("recv: " + std::string(std::strerror(errno)));
   }
+}
+
+Status BlockingClient::Send(const QueryRequest& req) {
+  return SendPayload(EncodeQueryRequest(req));
+}
+
+Status BlockingClient::Send(const TripRequest& req) {
+  return SendPayload(EncodeTripRequest(req));
+}
+
+Status BlockingClient::Send(const IngestRequest& req) {
+  return SendPayload(EncodeIngestRequest(req));
+}
+
+Result<QueryResponse> BlockingClient::Receive() {
+  return Decode(ReceivePayload(), ParseQueryResponse);
 }
 
 Result<QueryResponse> BlockingClient::Call(const QueryRequest& req) {
@@ -95,76 +121,14 @@ Result<QueryResponse> BlockingClient::Call(const QueryRequest& req) {
   return Receive();
 }
 
-Status BlockingClient::Send(const IngestRequest& req) {
-  if (fd_ < 0) return Status::InvalidArgument("not connected");
-  const std::string frame = EncodeFrame(EncodeIngestRequest(req));
-  return WriteAll(frame.data(), frame.size());
-}
-
-Result<IngestResponse> BlockingClient::ReceiveIngest() {
-  if (fd_ < 0) return Status::InvalidArgument("not connected");
-  for (;;) {
-    std::string payload;
-    size_t oversized = 0;
-    const FrameDecoder::Next next = decoder_.Poll(&payload, &oversized);
-    if (next == FrameDecoder::Next::kFrame) {
-      return ParseIngestResponse(payload);
-    }
-    if (next == FrameDecoder::Next::kOversized) {
-      return Status::IOError("server sent an oversized frame (" +
-                             std::to_string(oversized) + " bytes)");
-    }
-    char buf[16384];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n > 0) {
-      decoder_.Append(buf, static_cast<size_t>(n));
-      continue;
-    }
-    if (n == 0) return Status::IOError("connection closed by server");
-    if (errno == EINTR) continue;
-    return Status::IOError("recv: " + std::string(std::strerror(errno)));
-  }
+Result<TripResponse> BlockingClient::Call(const TripRequest& req) {
+  UOTS_RETURN_NOT_OK(Send(req));
+  return Decode(ReceivePayload(), ParseTripResponse);
 }
 
 Result<IngestResponse> BlockingClient::Call(const IngestRequest& req) {
   UOTS_RETURN_NOT_OK(Send(req));
-  return ReceiveIngest();
-}
-
-Status BlockingClient::Send(const TripRequest& req) {
-  if (fd_ < 0) return Status::InvalidArgument("not connected");
-  const std::string frame = EncodeFrame(EncodeTripRequest(req));
-  return WriteAll(frame.data(), frame.size());
-}
-
-Result<TripResponse> BlockingClient::ReceiveTrip() {
-  if (fd_ < 0) return Status::InvalidArgument("not connected");
-  for (;;) {
-    std::string payload;
-    size_t oversized = 0;
-    const FrameDecoder::Next next = decoder_.Poll(&payload, &oversized);
-    if (next == FrameDecoder::Next::kFrame) {
-      return ParseTripResponse(payload);
-    }
-    if (next == FrameDecoder::Next::kOversized) {
-      return Status::IOError("server sent an oversized frame (" +
-                             std::to_string(oversized) + " bytes)");
-    }
-    char buf[16384];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n > 0) {
-      decoder_.Append(buf, static_cast<size_t>(n));
-      continue;
-    }
-    if (n == 0) return Status::IOError("connection closed by server");
-    if (errno == EINTR) continue;
-    return Status::IOError("recv: " + std::string(std::strerror(errno)));
-  }
-}
-
-Result<TripResponse> BlockingClient::Call(const TripRequest& req) {
-  UOTS_RETURN_NOT_OK(Send(req));
-  return ReceiveTrip();
+  return Decode(ReceivePayload(), ParseIngestResponse);
 }
 
 }  // namespace uots

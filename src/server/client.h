@@ -34,36 +34,25 @@ class BlockingClient {
 
   /// Sends one request frame (blocking until fully written).
   Status Send(const QueryRequest& req);
-
-  /// Receives the next response frame (blocking).
-  Result<QueryResponse> Receive();
-
-  /// Send + Receive.
-  Result<QueryResponse> Call(const QueryRequest& req);
-
-  /// Sends one ingest batch frame (blocking until fully written).
+  Status Send(const TripRequest& req);
   Status Send(const IngestRequest& req);
 
-  /// Receives the next frame as an ingest response (blocking). Do not
-  /// interleave with Receive() expectations — responses arrive in request
-  /// order.
-  Result<IngestResponse> ReceiveIngest();
+  /// Receives the next response frame as a query response (blocking).
+  Result<QueryResponse> Receive();
 
-  /// Send + ReceiveIngest.
-  Result<IngestResponse> Call(const IngestRequest& req);
-
-  /// Sends one trip-assembly request frame (blocking until fully written).
-  Status Send(const TripRequest& req);
-
-  /// Receives the next frame as a trip response (blocking; responses
-  /// arrive in request order).
-  Result<TripResponse> ReceiveTrip();
-
-  /// Send + ReceiveTrip.
+  /// Send + receive the response. Responses arrive in request order, so
+  /// do not interleave with pipelined Sends still awaiting Receive().
+  Result<QueryResponse> Call(const QueryRequest& req);
   Result<TripResponse> Call(const TripRequest& req);
+  Result<IngestResponse> Call(const IngestRequest& req);
 
  private:
   Status WriteAll(const char* data, size_t n);
+  /// Frames `payload` and writes it.
+  Status SendPayload(const std::string& payload);
+  /// The receive loop: reads until one whole frame is buffered, then
+  /// returns its payload.
+  Result<std::string> ReceivePayload();
 
   int fd_ = -1;
   FrameDecoder decoder_;

@@ -47,6 +47,206 @@ Status ReadInt(const JsonValue& v, const char* what, int64_t* out) {
   return Status::OK();
 }
 
+// --- request envelope -------------------------------------------------------
+//
+// Queries and trips share every request field but their kind's own; these
+// write and read that envelope once for both.
+
+/// Starts a query or trip request with the envelope fields that precede the
+/// kind's own: id, the type tag (none for queries), request_id, locations,
+/// keywords, lambda and k. Field order is wire contract.
+template <typename Request>
+JsonValue OpenRequest(const Request& req, const char* type) {
+  JsonValue o = JsonValue::Object();
+  o.Set("id", JsonValue::Int(req.id));
+  if (type != nullptr) o.Set("type", JsonValue::Str(type));
+  if (!req.request_id.empty()) {
+    o.Set("request_id", JsonValue::Str(req.request_id));
+  }
+  JsonValue locs = JsonValue::Array();
+  for (VertexId v : req.query.locations) {
+    locs.Append(JsonValue::Int(static_cast<int64_t>(v)));
+  }
+  o.Set("locations", std::move(locs));
+  JsonValue kws = JsonValue::Array();
+  for (TermId t : req.query.keywords.terms()) {
+    kws.Append(JsonValue::Int(static_cast<int64_t>(t)));
+  }
+  o.Set("keywords", std::move(kws));
+  o.Set("lambda", JsonValue::Number(req.query.lambda));
+  o.Set("k", JsonValue::Int(req.query.k));
+  return o;
+}
+
+/// Ends a request with the envelope fields that follow the kind's own
+/// (deadline_ms, cache) and serializes it.
+std::string CloseRequest(const RequestEnvelope& req, JsonValue o) {
+  if (req.deadline_ms > 0.0) {
+    o.Set("deadline_ms", JsonValue::Number(req.deadline_ms));
+  }
+  if (req.cache == CacheMode::kBypass) {
+    o.Set("cache", JsonValue::Str("bypass"));
+  }
+  return o.Serialize();
+}
+
+/// Reads the optional "id" and "request_id" every request kind carries.
+Status ReadRequestIds(const JsonValue& o, int64_t* id,
+                      std::string* request_id) {
+  if (const JsonValue* v = o.Find("id")) {
+    UOTS_RETURN_NOT_OK(ReadInt(*v, "id", id));
+  }
+  if (const JsonValue* rid = o.Find("request_id")) {
+    if (!rid->is_string()) {
+      return Status::InvalidArgument("request_id must be a string");
+    }
+    if (rid->string_value().size() > kMaxRequestIdBytes) {
+      return Status::InvalidArgument(
+          "request_id too long (max " + std::to_string(kMaxRequestIdBytes) +
+          " bytes)");
+    }
+    *request_id = rid->string_value();
+  }
+  return Status::OK();
+}
+
+/// Strictly reads a query or trip request's envelope: the ids, 1 to
+/// `max_locations` locations, keywords, lambda, k, deadline_ms and cache.
+/// The kind's parser reads its own fields afterwards.
+template <typename Request>
+Status ReadRequestEnvelope(const JsonValue& o, size_t max_locations,
+                           Request* req) {
+  if (!o.is_object()) return Status::InvalidArgument("request must be an object");
+  UOTS_RETURN_NOT_OK(ReadRequestIds(o, &req->id, &req->request_id));
+  const JsonValue* locs = o.Find("locations");
+  if (locs == nullptr || !locs->is_array()) {
+    return Status::InvalidArgument("locations must be an array");
+  }
+  if (locs->array_items().empty()) {
+    return Status::InvalidArgument("locations must not be empty");
+  }
+  if (locs->array_items().size() > max_locations) {
+    return Status::InvalidArgument("too many locations (max " +
+                                   std::to_string(max_locations) + ")");
+  }
+  req->query.locations.reserve(locs->array_items().size());
+  for (const JsonValue& v : locs->array_items()) {
+    int64_t id;
+    UOTS_RETURN_NOT_OK(ReadInt(v, "location", &id));
+    if (id < 0 || id > UINT32_MAX) {
+      return Status::InvalidArgument("location out of range");
+    }
+    req->query.locations.push_back(static_cast<VertexId>(id));
+  }
+  std::vector<TermId> terms;
+  if (const JsonValue* kws = o.Find("keywords")) {
+    if (!kws->is_array()) {
+      return Status::InvalidArgument("keywords must be an array");
+    }
+    for (const JsonValue& v : kws->array_items()) {
+      int64_t id;
+      UOTS_RETURN_NOT_OK(ReadInt(v, "keyword", &id));
+      if (id < 0 || id > UINT32_MAX) {
+        return Status::InvalidArgument("keyword out of range");
+      }
+      terms.push_back(static_cast<TermId>(id));
+    }
+  }
+  req->query.keywords = KeywordSet(std::move(terms));
+  if (const JsonValue* lambda = o.Find("lambda")) {
+    if (!lambda->is_number()) {
+      return Status::InvalidArgument("lambda must be a number");
+    }
+    req->query.lambda = lambda->number_value();
+  }
+  if (const JsonValue* k = o.Find("k")) {
+    int64_t kk;
+    UOTS_RETURN_NOT_OK(ReadInt(*k, "k", &kk));
+    if (kk < 0 || kk > INT32_MAX) return Status::InvalidArgument("k out of range");
+    req->query.k = static_cast<int>(kk);
+  }
+  if (const JsonValue* dl = o.Find("deadline_ms")) {
+    if (!dl->is_number() || dl->number_value() < 0.0) {
+      return Status::InvalidArgument("deadline_ms must be a number >= 0");
+    }
+    req->deadline_ms = dl->number_value();
+  }
+  if (const JsonValue* cache = o.Find("cache")) {
+    if (!cache->is_string()) {
+      return Status::InvalidArgument("cache must be a string");
+    }
+    const std::string_view mode = cache->string_value();
+    if (mode == "bypass") {
+      req->cache = CacheMode::kBypass;
+    } else if (mode != "default") {
+      return Status::InvalidArgument("cache must be \"default\" or \"bypass\"");
+    }
+  }
+  return Status::OK();
+}
+
+// --- response envelope ------------------------------------------------------
+
+/// Parses `json` as a reply object and reads the head every reply kind
+/// carries (id, request_id, status, error) into `resp`. Returns the parsed
+/// object for the kind's own fields.
+Result<JsonValue> ReadResponseHead(std::string_view json, ResponseHead* resp) {
+  Result<JsonValue> o = ParseJson(json);
+  if (!o.ok()) return o;
+  if (!o->is_object()) {
+    return Status::InvalidArgument("response must be an object");
+  }
+  if (const JsonValue* id = o->Find("id")) {
+    UOTS_RETURN_NOT_OK(ReadInt(*id, "id", &resp->id));
+  }
+  if (const JsonValue* rid = o->Find("request_id")) {
+    resp->request_id = rid->StringOr("");
+  }
+  const JsonValue* status = o->Find("status");
+  if (status == nullptr || !status->is_string()) {
+    return Status::InvalidArgument("response missing status");
+  }
+  resp->status = ParseResponseStatus(status->string_value());
+  if (const JsonValue* err = o->Find("error")) {
+    resp->error = err->StringOr("");
+  }
+  return o;
+}
+
+/// Reads a query or trip reply's envelope: the head, the cache flag, every
+/// counter QueryStats writes (QueryStatsIntFields) and the server timings.
+/// Returns the parsed object for the kind's body.
+Result<JsonValue> ReadResponseEnvelope(std::string_view json,
+                                       ResponseEnvelope* resp) {
+  Result<JsonValue> o = ReadResponseHead(json, resp);
+  if (!o.ok()) return o;
+  if (const JsonValue* cached = o->Find("cached")) {
+    resp->cached = cached->BoolOr(false);
+  }
+  const JsonValue* stats = o->Find("stats");
+  if (stats != nullptr && stats->is_object()) {
+    resp->has_stats = true;
+    for (const QueryStatsField& f : QueryStatsIntFields()) {
+      const JsonValue* v = stats->Find(f.key);
+      resp->stats.*f.member =
+          v != nullptr ? static_cast<int64_t>(v->NumberOr(0)) : 0;
+    }
+    if (const JsonValue* ms = stats->Find("elapsed_ms")) {
+      resp->stats.elapsed_ms = ms->NumberOr(0.0);
+    }
+  }
+  const JsonValue* server = o->Find("server");
+  if (server != nullptr && server->is_object()) {
+    if (const JsonValue* v = server->Find("queue_wait_ms")) {
+      resp->queue_wait_ms = v->NumberOr(0.0);
+    }
+    if (const JsonValue* v = server->Find("execute_ms")) {
+      resp->execute_ms = v->NumberOr(0.0);
+    }
+  }
+  return o;
+}
+
 // --- direct response writer --------------------------------------------------
 //
 // Responses are appended straight into the output string. Field order and
@@ -70,23 +270,22 @@ void AppendString(const char* key, std::string_view s, std::string* out) {
 /// {"id":..,"request_id":"..","status":"..". A non-ok status then gets the
 /// error form ("error", "retryable") and the closing brace, and the call
 /// returns false; an ok status leaves the object open for the kind's body.
-bool AppendResponseHead(int64_t id, std::string_view request_id,
-                        ResponseStatus status, std::string_view error,
-                        std::string* out) {
-  AppendNumber("{\"id\":", static_cast<double>(id), out);
-  if (!request_id.empty()) AppendString(",\"request_id\":", request_id, out);
-  AppendString(",\"status\":", ToString(status), out);
-  if (status == ResponseStatus::kOk) return true;
-  if (!error.empty()) AppendString(",\"error\":", error, out);
-  out->append(IsRetryable(status) ? ",\"retryable\":true}"
-                                  : ",\"retryable\":false}");
+bool AppendResponseHead(const ResponseHead& head, std::string* out) {
+  AppendNumber("{\"id\":", static_cast<double>(head.id), out);
+  if (!head.request_id.empty()) {
+    AppendString(",\"request_id\":", head.request_id, out);
+  }
+  AppendString(",\"status\":", ToString(head.status), out);
+  if (head.ok()) return true;
+  if (!head.error.empty()) AppendString(",\"error\":", head.error, out);
+  out->append(head.retryable() ? ",\"retryable\":true}"
+                               : ",\"retryable\":false}");
   return false;
 }
 
 /// Closes an ok query or trip reply: the cache flag, the engine stats and
 /// the server timings.
-template <typename Response>
-void AppendResponseTail(const Response& resp, std::string* out) {
+void AppendResponseTail(const ResponseEnvelope& resp, std::string* out) {
   if (resp.cached) out->append(",\"cached\":true");
   if (resp.has_stats) {
     out->append(",\"stats\":");
@@ -219,33 +418,11 @@ Result<AlgorithmKind> ParseAlgorithmKind(std::string_view name) {
 }
 
 std::string EncodeQueryRequest(const QueryRequest& req) {
-  JsonValue o = JsonValue::Object();
-  o.Set("id", JsonValue::Int(req.id));
-  if (!req.request_id.empty()) {
-    o.Set("request_id", JsonValue::Str(req.request_id));
-  }
-  JsonValue locs = JsonValue::Array();
-  for (VertexId v : req.query.locations) {
-    locs.Append(JsonValue::Int(static_cast<int64_t>(v)));
-  }
-  o.Set("locations", std::move(locs));
-  JsonValue kws = JsonValue::Array();
-  for (TermId t : req.query.keywords.terms()) {
-    kws.Append(JsonValue::Int(static_cast<int64_t>(t)));
-  }
-  o.Set("keywords", std::move(kws));
-  o.Set("lambda", JsonValue::Number(req.query.lambda));
-  o.Set("k", JsonValue::Int(req.query.k));
+  JsonValue o = OpenRequest(req, nullptr);
   if (req.has_algorithm) {
     o.Set("algorithm", JsonValue::Str(ToString(req.algorithm)));
   }
-  if (req.deadline_ms > 0.0) {
-    o.Set("deadline_ms", JsonValue::Number(req.deadline_ms));
-  }
-  if (req.cache == CacheMode::kBypass) {
-    o.Set("cache", JsonValue::Str("bypass"));
-  }
-  return o.Serialize();
+  return CloseRequest(req, std::move(o));
 }
 
 Result<QueryRequest> ParseQueryRequest(std::string_view json) {
@@ -255,70 +432,8 @@ Result<QueryRequest> ParseQueryRequest(std::string_view json) {
 }
 
 Result<QueryRequest> ParseQueryRequest(const JsonValue& o) {
-  if (!o.is_object()) return Status::InvalidArgument("request must be an object");
-
   QueryRequest req;
-  if (const JsonValue* id = o.Find("id")) {
-    UOTS_RETURN_NOT_OK(ReadInt(*id, "id", &req.id));
-  }
-  if (const JsonValue* rid = o.Find("request_id")) {
-    if (!rid->is_string()) {
-      return Status::InvalidArgument("request_id must be a string");
-    }
-    if (rid->string_value().size() > kMaxRequestIdBytes) {
-      return Status::InvalidArgument(
-          "request_id too long (max " + std::to_string(kMaxRequestIdBytes) +
-          " bytes)");
-    }
-    req.request_id = rid->string_value();
-  }
-  const JsonValue* locs = o.Find("locations");
-  if (locs == nullptr || !locs->is_array()) {
-    return Status::InvalidArgument("locations must be an array");
-  }
-  if (locs->array_items().empty()) {
-    return Status::InvalidArgument("locations must not be empty");
-  }
-  if (locs->array_items().size() > kMaxQueryLocations) {
-    return Status::InvalidArgument("too many locations (max " +
-                                   std::to_string(kMaxQueryLocations) + ")");
-  }
-  req.query.locations.reserve(locs->array_items().size());
-  for (const JsonValue& v : locs->array_items()) {
-    int64_t id;
-    UOTS_RETURN_NOT_OK(ReadInt(v, "location", &id));
-    if (id < 0 || id > UINT32_MAX) {
-      return Status::InvalidArgument("location out of range");
-    }
-    req.query.locations.push_back(static_cast<VertexId>(id));
-  }
-  std::vector<TermId> terms;
-  if (const JsonValue* kws = o.Find("keywords")) {
-    if (!kws->is_array()) {
-      return Status::InvalidArgument("keywords must be an array");
-    }
-    for (const JsonValue& v : kws->array_items()) {
-      int64_t id;
-      UOTS_RETURN_NOT_OK(ReadInt(v, "keyword", &id));
-      if (id < 0 || id > UINT32_MAX) {
-        return Status::InvalidArgument("keyword out of range");
-      }
-      terms.push_back(static_cast<TermId>(id));
-    }
-  }
-  req.query.keywords = KeywordSet(std::move(terms));
-  if (const JsonValue* lambda = o.Find("lambda")) {
-    if (!lambda->is_number()) {
-      return Status::InvalidArgument("lambda must be a number");
-    }
-    req.query.lambda = lambda->number_value();
-  }
-  if (const JsonValue* k = o.Find("k")) {
-    int64_t kk;
-    UOTS_RETURN_NOT_OK(ReadInt(*k, "k", &kk));
-    if (kk < 0 || kk > INT32_MAX) return Status::InvalidArgument("k out of range");
-    req.query.k = static_cast<int>(kk);
-  }
+  UOTS_RETURN_NOT_OK(ReadRequestEnvelope(o, kMaxQueryLocations, &req));
   if (const JsonValue* algo = o.Find("algorithm")) {
     if (!algo->is_string()) {
       return Status::InvalidArgument("algorithm must be a string");
@@ -327,23 +442,6 @@ Result<QueryRequest> ParseQueryRequest(const JsonValue& o) {
     if (!kind.ok()) return kind.status();
     req.algorithm = *kind;
     req.has_algorithm = true;
-  }
-  if (const JsonValue* dl = o.Find("deadline_ms")) {
-    if (!dl->is_number() || dl->number_value() < 0.0) {
-      return Status::InvalidArgument("deadline_ms must be a number >= 0");
-    }
-    req.deadline_ms = dl->number_value();
-  }
-  if (const JsonValue* cache = o.Find("cache")) {
-    if (!cache->is_string()) {
-      return Status::InvalidArgument("cache must be a string");
-    }
-    const std::string_view mode = cache->string_value();
-    if (mode == "bypass") {
-      req.cache = CacheMode::kBypass;
-    } else if (mode != "default") {
-      return Status::InvalidArgument("cache must be \"default\" or \"bypass\"");
-    }
   }
   return req;
 }
@@ -393,20 +491,7 @@ Result<IngestRequest> ParseIngestRequest(const JsonValue& o) {
     return Status::InvalidArgument("request must be an object");
   }
   IngestRequest req;
-  if (const JsonValue* id = o.Find("id")) {
-    UOTS_RETURN_NOT_OK(ReadInt(*id, "id", &req.id));
-  }
-  if (const JsonValue* rid = o.Find("request_id")) {
-    if (!rid->is_string()) {
-      return Status::InvalidArgument("request_id must be a string");
-    }
-    if (rid->string_value().size() > kMaxRequestIdBytes) {
-      return Status::InvalidArgument(
-          "request_id too long (max " + std::to_string(kMaxRequestIdBytes) +
-          " bytes)");
-    }
-    req.request_id = rid->string_value();
-  }
+  UOTS_RETURN_NOT_OK(ReadRequestIds(o, &req.id, &req.request_id));
   const JsonValue* trips = o.Find("trajectories");
   if (trips == nullptr || !trips->is_array()) {
     return Status::InvalidArgument("trajectories must be an array");
@@ -487,10 +572,7 @@ Result<IngestRequest> ParseIngestRequest(std::string_view json) {
 std::string EncodeIngestResponse(const IngestResponse& resp) {
   std::string out;
   out.reserve(160);
-  if (!AppendResponseHead(resp.id, resp.request_id, resp.status, resp.error,
-                          &out)) {
-    return out;
-  }
+  if (!AppendResponseHead(resp, &out)) return out;
   AppendNumber(",\"accepted\":", static_cast<double>(resp.accepted), &out);
   AppendNumber(",\"first_traj\":", static_cast<double>(resp.first_traj),
                &out);
@@ -503,29 +585,11 @@ std::string EncodeIngestResponse(const IngestResponse& resp) {
 }
 
 Result<IngestResponse> ParseIngestResponse(std::string_view json) {
-  Result<JsonValue> parsed = ParseJson(json);
-  if (!parsed.ok()) return parsed.status();
-  const JsonValue& o = *parsed;
-  if (!o.is_object()) {
-    return Status::InvalidArgument("response must be an object");
-  }
   IngestResponse resp;
-  if (const JsonValue* id = o.Find("id")) {
-    UOTS_RETURN_NOT_OK(ReadInt(*id, "id", &resp.id));
-  }
-  if (const JsonValue* rid = o.Find("request_id")) {
-    resp.request_id = rid->StringOr("");
-  }
-  const JsonValue* status = o.Find("status");
-  if (status == nullptr || !status->is_string()) {
-    return Status::InvalidArgument("response missing status");
-  }
-  resp.status = ParseResponseStatus(status->string_value());
-  if (const JsonValue* err = o.Find("error")) {
-    resp.error = err->StringOr("");
-  }
+  const Result<JsonValue> o = ReadResponseHead(json, &resp);
+  if (!o.ok()) return o.status();
   const auto geti = [&](const char* key, int64_t fallback) -> int64_t {
-    const JsonValue* v = o.Find(key);
+    const JsonValue* v = o->Find(key);
     return v != nullptr ? static_cast<int64_t>(v->NumberOr(
                               static_cast<double>(fallback)))
                         : fallback;
@@ -540,10 +604,7 @@ Result<IngestResponse> ParseIngestResponse(std::string_view json) {
 std::string EncodeQueryResponse(const QueryResponse& resp) {
   std::string out;
   out.reserve(kResponseOverheadBytes + 96 * resp.results.size());
-  if (!AppendResponseHead(resp.id, resp.request_id, resp.status, resp.error,
-                          &out)) {
-    return out;
-  }
+  if (!AppendResponseHead(resp, &out)) return out;
   out.append(",\"results\":[");
   for (size_t i = 0; i < resp.results.size(); ++i) {
     const ScoredTrajectory& st = resp.results[i];
@@ -559,24 +620,7 @@ std::string EncodeQueryResponse(const QueryResponse& resp) {
 }
 
 std::string EncodeTripRequest(const TripRequest& req) {
-  JsonValue o = JsonValue::Object();
-  o.Set("id", JsonValue::Int(req.id));
-  o.Set("type", JsonValue::Str("trip"));
-  if (!req.request_id.empty()) {
-    o.Set("request_id", JsonValue::Str(req.request_id));
-  }
-  JsonValue locs = JsonValue::Array();
-  for (VertexId v : req.query.locations) {
-    locs.Append(JsonValue::Int(static_cast<int64_t>(v)));
-  }
-  o.Set("locations", std::move(locs));
-  JsonValue kws = JsonValue::Array();
-  for (TermId t : req.query.keywords.terms()) {
-    kws.Append(JsonValue::Int(static_cast<int64_t>(t)));
-  }
-  o.Set("keywords", std::move(kws));
-  o.Set("lambda", JsonValue::Number(req.query.lambda));
-  o.Set("k", JsonValue::Int(req.query.k));
+  JsonValue o = OpenRequest(req, "trip");
   if (req.query.ordered) o.Set("ordered", JsonValue::Bool(true));
   if (req.query.use_categories) o.Set("categories", JsonValue::Bool(true));
   if (req.query.gap_budget_m > 0.0) {
@@ -585,83 +629,12 @@ std::string EncodeTripRequest(const TripRequest& req) {
   o.Set("segments_per_location",
         JsonValue::Int(req.query.segments_per_location));
   o.Set("window", JsonValue::Int(req.query.window));
-  if (req.deadline_ms > 0.0) {
-    o.Set("deadline_ms", JsonValue::Number(req.deadline_ms));
-  }
-  if (req.cache == CacheMode::kBypass) {
-    o.Set("cache", JsonValue::Str("bypass"));
-  }
-  return o.Serialize();
+  return CloseRequest(req, std::move(o));
 }
 
 Result<TripRequest> ParseTripRequest(const JsonValue& o) {
-  if (!o.is_object()) {
-    return Status::InvalidArgument("request must be an object");
-  }
   TripRequest req;
-  if (const JsonValue* id = o.Find("id")) {
-    UOTS_RETURN_NOT_OK(ReadInt(*id, "id", &req.id));
-  }
-  if (const JsonValue* rid = o.Find("request_id")) {
-    if (!rid->is_string()) {
-      return Status::InvalidArgument("request_id must be a string");
-    }
-    if (rid->string_value().size() > kMaxRequestIdBytes) {
-      return Status::InvalidArgument(
-          "request_id too long (max " + std::to_string(kMaxRequestIdBytes) +
-          " bytes)");
-    }
-    req.request_id = rid->string_value();
-  }
-  const JsonValue* locs = o.Find("locations");
-  if (locs == nullptr || !locs->is_array()) {
-    return Status::InvalidArgument("locations must be an array");
-  }
-  if (locs->array_items().empty()) {
-    return Status::InvalidArgument("locations must not be empty");
-  }
-  if (locs->array_items().size() > kMaxTripLocations) {
-    return Status::InvalidArgument("too many locations (max " +
-                                   std::to_string(kMaxTripLocations) + ")");
-  }
-  req.query.locations.reserve(locs->array_items().size());
-  for (const JsonValue& v : locs->array_items()) {
-    int64_t id;
-    UOTS_RETURN_NOT_OK(ReadInt(v, "location", &id));
-    if (id < 0 || id > UINT32_MAX) {
-      return Status::InvalidArgument("location out of range");
-    }
-    req.query.locations.push_back(static_cast<VertexId>(id));
-  }
-  std::vector<TermId> terms;
-  if (const JsonValue* kws = o.Find("keywords")) {
-    if (!kws->is_array()) {
-      return Status::InvalidArgument("keywords must be an array");
-    }
-    for (const JsonValue& v : kws->array_items()) {
-      int64_t id;
-      UOTS_RETURN_NOT_OK(ReadInt(v, "keyword", &id));
-      if (id < 0 || id > UINT32_MAX) {
-        return Status::InvalidArgument("keyword out of range");
-      }
-      terms.push_back(static_cast<TermId>(id));
-    }
-  }
-  req.query.keywords = KeywordSet(std::move(terms));
-  if (const JsonValue* lambda = o.Find("lambda")) {
-    if (!lambda->is_number()) {
-      return Status::InvalidArgument("lambda must be a number");
-    }
-    req.query.lambda = lambda->number_value();
-  }
-  if (const JsonValue* k = o.Find("k")) {
-    int64_t kk;
-    UOTS_RETURN_NOT_OK(ReadInt(*k, "k", &kk));
-    if (kk < 0 || kk > INT32_MAX) {
-      return Status::InvalidArgument("k out of range");
-    }
-    req.query.k = static_cast<int>(kk);
-  }
+  UOTS_RETURN_NOT_OK(ReadRequestEnvelope(o, kMaxTripLocations, &req));
   if (const JsonValue* ordered = o.Find("ordered")) {
     if (!ordered->is_bool()) {
       return Status::InvalidArgument("ordered must be a boolean");
@@ -696,23 +669,6 @@ Result<TripRequest> ParseTripRequest(const JsonValue& o) {
     }
     req.query.window = static_cast<int>(v);
   }
-  if (const JsonValue* dl = o.Find("deadline_ms")) {
-    if (!dl->is_number() || dl->number_value() < 0.0) {
-      return Status::InvalidArgument("deadline_ms must be a number >= 0");
-    }
-    req.deadline_ms = dl->number_value();
-  }
-  if (const JsonValue* cache = o.Find("cache")) {
-    if (!cache->is_string()) {
-      return Status::InvalidArgument("cache must be a string");
-    }
-    const std::string_view mode = cache->string_value();
-    if (mode == "bypass") {
-      req.cache = CacheMode::kBypass;
-    } else if (mode != "default") {
-      return Status::InvalidArgument("cache must be \"default\" or \"bypass\"");
-    }
-  }
   return req;
 }
 
@@ -728,10 +684,7 @@ std::string EncodeTripResponse(const TripResponse& resp) {
   for (const AssembledTrip& trip : resp.trips) segments += trip.segments.size();
   out.reserve(kResponseOverheadBytes + 128 * resp.trips.size() +
               160 * segments);
-  if (!AppendResponseHead(resp.id, resp.request_id, resp.status, resp.error,
-                          &out)) {
-    return out;
-  }
+  if (!AppendResponseHead(resp, &out)) return out;
   out.append(",\"trips\":[");
   for (size_t i = 0; i < resp.trips.size(); ++i) {
     const AssembledTrip& trip = resp.trips[i];
@@ -759,28 +712,10 @@ std::string EncodeTripResponse(const TripResponse& resp) {
 }
 
 Result<TripResponse> ParseTripResponse(std::string_view json) {
-  Result<JsonValue> parsed = ParseJson(json);
-  if (!parsed.ok()) return parsed.status();
-  const JsonValue& o = *parsed;
-  if (!o.is_object()) {
-    return Status::InvalidArgument("response must be an object");
-  }
   TripResponse resp;
-  if (const JsonValue* id = o.Find("id")) {
-    UOTS_RETURN_NOT_OK(ReadInt(*id, "id", &resp.id));
-  }
-  if (const JsonValue* rid = o.Find("request_id")) {
-    resp.request_id = rid->StringOr("");
-  }
-  const JsonValue* status = o.Find("status");
-  if (status == nullptr || !status->is_string()) {
-    return Status::InvalidArgument("response missing status");
-  }
-  resp.status = ParseResponseStatus(status->string_value());
-  if (const JsonValue* err = o.Find("error")) {
-    resp.error = err->StringOr("");
-  }
-  if (const JsonValue* trips = o.Find("trips")) {
+  const Result<JsonValue> o = ReadResponseEnvelope(json, &resp);
+  if (!o.ok()) return o.status();
+  if (const JsonValue* trips = o->Find("trips")) {
     if (!trips->is_array()) {
       return Status::InvalidArgument("trips must be an array");
     }
@@ -828,61 +763,14 @@ Result<TripResponse> ParseTripResponse(std::string_view json) {
       resp.trips.push_back(std::move(trip));
     }
   }
-  if (const JsonValue* cached = o.Find("cached")) {
-    resp.cached = cached->BoolOr(false);
-  }
-  if (const JsonValue* server = o.Find("server")) {
-    if (server->is_object()) {
-      if (const JsonValue* v = server->Find("queue_wait_ms")) {
-        resp.queue_wait_ms = v->NumberOr(0.0);
-      }
-      if (const JsonValue* v = server->Find("execute_ms")) {
-        resp.execute_ms = v->NumberOr(0.0);
-      }
-    }
-  }
-  if (const JsonValue* stats = o.Find("stats")) {
-    if (stats->is_object()) {
-      resp.has_stats = true;
-      const auto geti = [&](const char* key) -> int64_t {
-        const JsonValue* v = stats->Find(key);
-        return v != nullptr ? static_cast<int64_t>(v->NumberOr(0)) : 0;
-      };
-      resp.stats.visited_trajectories = geti("visited_trajectories");
-      resp.stats.settled_vertices = geti("settled_vertices");
-      resp.stats.candidates = geti("candidates");
-      resp.stats.oracle_lookups = geti("oracle_lookups");
-      if (const JsonValue* ms = stats->Find("elapsed_ms")) {
-        resp.stats.elapsed_ms = ms->NumberOr(0.0);
-      }
-    }
-  }
   return resp;
 }
 
 Result<QueryResponse> ParseQueryResponse(std::string_view json) {
-  Result<JsonValue> parsed = ParseJson(json);
-  if (!parsed.ok()) return parsed.status();
-  const JsonValue& o = *parsed;
-  if (!o.is_object()) {
-    return Status::InvalidArgument("response must be an object");
-  }
   QueryResponse resp;
-  if (const JsonValue* id = o.Find("id")) {
-    UOTS_RETURN_NOT_OK(ReadInt(*id, "id", &resp.id));
-  }
-  if (const JsonValue* rid = o.Find("request_id")) {
-    resp.request_id = rid->StringOr("");
-  }
-  const JsonValue* status = o.Find("status");
-  if (status == nullptr || !status->is_string()) {
-    return Status::InvalidArgument("response missing status");
-  }
-  resp.status = ParseResponseStatus(status->string_value());
-  if (const JsonValue* err = o.Find("error")) {
-    resp.error = err->StringOr("");
-  }
-  if (const JsonValue* results = o.Find("results")) {
+  const Result<JsonValue> o = ReadResponseEnvelope(json, &resp);
+  if (!o.ok()) return o.status();
+  if (const JsonValue* results = o->Find("results")) {
     if (!results->is_array()) {
       return Status::InvalidArgument("results must be an array");
     }
@@ -902,47 +790,6 @@ Result<QueryResponse> ParseQueryResponse(std::string_view json) {
       st.textual_sim =
           item.Find("textual") ? item.Find("textual")->NumberOr(0) : 0;
       resp.results.push_back(st);
-    }
-  }
-  if (const JsonValue* cached = o.Find("cached")) {
-    resp.cached = cached->BoolOr(false);
-  }
-  if (const JsonValue* stats = o.Find("stats")) {
-    if (stats->is_object()) {
-      resp.has_stats = true;
-      const auto geti = [&](const char* key) -> int64_t {
-        const JsonValue* v = stats->Find(key);
-        return v != nullptr ? static_cast<int64_t>(v->NumberOr(0)) : 0;
-      };
-      resp.stats.visited_trajectories = geti("visited_trajectories");
-      resp.stats.trajectory_hits = geti("trajectory_hits");
-      resp.stats.settled_vertices = geti("settled_vertices");
-      resp.stats.heap_pops = geti("heap_pops");
-      resp.stats.heap_pushes = geti("heap_pushes");
-      resp.stats.heap_decreases = geti("heap_decreases");
-      resp.stats.heap_stale_pops = geti("heap_stale_pops");
-      resp.stats.candidates = geti("candidates");
-      resp.stats.posting_entries = geti("posting_entries");
-      resp.stats.schedule_steps = geti("schedule_steps");
-      resp.stats.bound_rebuilds = geti("bound_rebuilds");
-      resp.stats.dcache_hits = geti("dcache_hits");
-      resp.stats.dcache_replayed = geti("dcache_replayed");
-      resp.stats.dcache_published = geti("dcache_published");
-      resp.stats.oracle_lookups = geti("oracle_lookups");
-      resp.stats.oracle_pruned_candidates = geti("oracle_pruned_candidates");
-      if (const JsonValue* ms = stats->Find("elapsed_ms")) {
-        resp.stats.elapsed_ms = ms->NumberOr(0.0);
-      }
-    }
-  }
-  if (const JsonValue* server = o.Find("server")) {
-    if (server->is_object()) {
-      if (const JsonValue* v = server->Find("queue_wait_ms")) {
-        resp.queue_wait_ms = v->NumberOr(0.0);
-      }
-      if (const JsonValue* v = server->Find("execute_ms")) {
-        resp.execute_ms = v->NumberOr(0.0);
-      }
     }
   }
   return resp;

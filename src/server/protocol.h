@@ -132,18 +132,25 @@ enum class CacheMode {
 /// parse error (they would bloat logs and slow-log entries).
 inline constexpr size_t kMaxRequestIdBytes = 128;
 
-/// \brief A decoded query request.
-struct QueryRequest {
+/// \brief The fields every query and trip request carries.
+///
+/// The rest of the request envelope (locations, keywords, lambda, k) lives
+/// in each kind's query struct; one parser reads all of it for both kinds.
+struct RequestEnvelope {
   int64_t id = 0;
   /// Optional client-chosen correlation string; the server generates one
   /// when empty and echoes it (either way) in the response.
   std::string request_id;
+  double deadline_ms = 0.0;  ///< 0 = use the server default
+  /// Wire field "cache": "default" (omitted) or "bypass".
+  CacheMode cache = CacheMode::kDefault;
+};
+
+/// \brief A decoded query request.
+struct QueryRequest : RequestEnvelope {
   UotsQuery query;
   AlgorithmKind algorithm = AlgorithmKind::kUots;
   bool has_algorithm = false;  ///< request named one explicitly
-  double deadline_ms = 0.0;    ///< 0 = use the server default
-  /// Wire field "cache": "default" (omitted) or "bypass".
-  CacheMode cache = CacheMode::kDefault;
 };
 
 std::string EncodeQueryRequest(const QueryRequest& req);
@@ -174,6 +181,21 @@ inline constexpr size_t kMaxIngestBatchTrajectories = 4096;
 inline constexpr size_t kMaxIngestSamplesPerTrajectory = 65536;
 inline constexpr size_t kMaxIngestKeywordsPerTrajectory = 4096;
 
+/// \brief The head every reply carries, whatever its kind; a non-ok
+/// reply is the head alone (plus "retryable" on the wire).
+struct ResponseHead {
+  int64_t id = 0;
+  /// Echo of the request's request_id (server-generated when the request
+  /// carried none). Set on every response the server sends, errors
+  /// included.
+  std::string request_id;
+  ResponseStatus status = ResponseStatus::kOk;
+  std::string error;
+
+  bool ok() const { return status == ResponseStatus::kOk; }
+  bool retryable() const { return IsRetryable(status); }
+};
+
 /// \brief A decoded ingest request: a batch of new trajectories.
 ///
 /// Wire form (type distinguishes it from a query on the same connection):
@@ -198,11 +220,7 @@ Result<IngestRequest> ParseIngestRequest(std::string_view json);
 ///    "first_traj": 250128, "generation": 3, "delta_trajectories": 384}
 /// Batches are atomic: on any non-ok status, accepted == 0 and nothing was
 /// ingested ("error" names the first offending trajectory).
-struct IngestResponse {
-  int64_t id = 0;
-  std::string request_id;
-  ResponseStatus status = ResponseStatus::kOk;
-  std::string error;
+struct IngestResponse : ResponseHead {
   int64_t accepted = 0;
   /// Global TrajId of the first trajectory in the batch (contiguous ids
   /// follow); -1 on failure.
@@ -211,34 +229,26 @@ struct IngestResponse {
   int64_t generation = 0;
   /// Total uncompacted delta trips after this batch.
   int64_t delta_trajectories = 0;
-
-  bool ok() const { return status == ResponseStatus::kOk; }
-  bool retryable() const { return IsRetryable(status); }
 };
 
 std::string EncodeIngestResponse(const IngestResponse& resp);
 Result<IngestResponse> ParseIngestResponse(std::string_view json);
 
-/// \brief A decoded (or to-be-encoded) query response.
-struct QueryResponse {
-  int64_t id = 0;
-  /// Echo of the request's request_id (server-generated when the request
-  /// carried none). Set on every response the server sends, errors
-  /// included.
-  std::string request_id;
-  ResponseStatus status = ResponseStatus::kOk;
-  std::string error;
-  std::vector<ScoredTrajectory> results;
+/// \brief The fields every query and trip reply carries; one encoder
+/// writes them and one decoder reads them for both kinds.
+struct ResponseEnvelope : ResponseHead {
   bool has_stats = false;
-  QueryStats stats;           ///< engine counters (subset survives decode)
+  QueryStats stats;  ///< engine counters (phase times are not decoded)
   /// True when the answer came from the server's result cache (the stats
   /// are then those of the run that populated the entry).
   bool cached = false;
-  double queue_wait_ms = 0.0; ///< time between admission and worker pickup
-  double execute_ms = 0.0;    ///< engine wall time on the worker
+  double queue_wait_ms = 0.0;  ///< time between admission and worker pickup
+  double execute_ms = 0.0;     ///< engine wall time on the worker
+};
 
-  bool ok() const { return status == ResponseStatus::kOk; }
-  bool retryable() const { return IsRetryable(status); }
+/// \brief A decoded (or to-be-encoded) query response.
+struct QueryResponse : ResponseEnvelope {
+  std::vector<ScoredTrajectory> results;
 };
 
 std::string EncodeQueryResponse(const QueryResponse& resp);
@@ -257,12 +267,8 @@ Result<QueryResponse> ParseQueryResponse(std::string_view json);
 ///    "segments_per_location": 8,  // optional harvest shape
 ///    "window": 4,                 // optional harvest shape
 ///    "deadline_ms": 50, "cache": "bypass"}  // as on query requests
-struct TripRequest {
-  int64_t id = 0;
-  std::string request_id;
+struct TripRequest : RequestEnvelope {
   TripQuery query;
-  double deadline_ms = 0.0;  ///< 0 = use the server default
-  CacheMode cache = CacheMode::kDefault;
 };
 
 std::string EncodeTripRequest(const TripRequest& req);
@@ -281,20 +287,8 @@ Result<TripRequest> ParseTripRequest(std::string_view json);
 ///    "stats": {...}, "server": {...}}
 /// All doubles round-trip exactly (JsonAppendDouble), so a client can
 /// compare trips bit-for-bit against an in-process TripPlanner.
-struct TripResponse {
-  int64_t id = 0;
-  std::string request_id;
-  ResponseStatus status = ResponseStatus::kOk;
-  std::string error;
+struct TripResponse : ResponseEnvelope {
   std::vector<AssembledTrip> trips;
-  bool has_stats = false;
-  QueryStats stats;
-  bool cached = false;
-  double queue_wait_ms = 0.0;
-  double execute_ms = 0.0;
-
-  bool ok() const { return status == ResponseStatus::kOk; }
-  bool retryable() const { return IsRetryable(status); }
 };
 
 std::string EncodeTripResponse(const TripResponse& resp);

@@ -45,44 +45,34 @@ int64_t HashRequestId(const std::string& s) {
   return static_cast<int64_t>(h & 0x7fffffffffffffffULL);
 }
 
-/// Canonical one-line query description for slow-log entries.
-std::string SummarizeQuery(const UotsQuery& q, AlgorithmKind kind) {
-  std::string out = "locs=";
-  out += std::to_string(q.locations.size());
-  out += " kw=";
-  out += std::to_string(q.keywords.size());
-  out += " lambda=";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3g", q.lambda);
-  out += buf;
-  out += " k=";
-  out += std::to_string(q.k);
-  out += " algo=";
-  out += ToString(kind);
-  return out;
+/// The ServerCounters tally of parsed requests of each query kind.
+int64_t& RequestTally(ServerCounters& c, const QueryRequest&) {
+  return c.requests;
+}
+int64_t& RequestTally(ServerCounters& c, const TripRequest&) {
+  return c.trip_requests;
 }
 
-/// Canonical one-line trip-query description for slow-log entries.
-std::string SummarizeTripQuery(const TripQuery& q) {
-  std::string out = "trip locs=";
-  out += std::to_string(q.locations.size());
-  out += " kw=";
-  out += std::to_string(q.keywords.size());
-  out += " lambda=";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3g", q.lambda);
-  out += buf;
-  out += " k=";
-  out += std::to_string(q.k);
-  out += " ordered=";
-  out += q.ordered ? '1' : '0';
-  out += " cat=";
-  out += q.use_categories ? '1' : '0';
-  if (q.gap_budget_m > 0.0) {
-    std::snprintf(buf, sizeof(buf), " gap=%.3g", q.gap_budget_m);
-    out += buf;
-  }
-  return out;
+/// Records the one server.request_latency sample of a request that arrived
+/// at `arrival_ns`, as its reply is sent — by the cache-hit path, the
+/// completion or the deadline timer, whichever answers it.
+void RecordLatency(int64_t arrival_ns) {
+  MetricsRegistry::Global().Record("server.request_latency",
+                                   EventLoop::NowNs() - arrival_ns);
+}
+
+/// An ok reply of query kind `Kind` carrying `body` (copied from a cache
+/// entry or moved out of an engine output) and the computing run's stats.
+template <typename Kind, typename Body>
+typename Kind::Response OkResponse(int64_t id, const std::string& request_id,
+                                   Body&& body, const QueryStats& stats) {
+  typename Kind::Response resp;
+  resp.id = id;
+  resp.request_id = request_id;
+  resp.*Kind::kResponseBody = std::forward<Body>(body);
+  resp.has_stats = true;
+  resp.stats = stats;
+  return resp;
 }
 
 std::string EncodeResponse(const QueryResponse& r) {
@@ -215,19 +205,18 @@ std::string UotsServer::GenerateRequestId(uint64_t conn_id) {
 }
 
 void UotsServer::RecordSlowLog(const RequestCtx& ctx, const char* status_name,
-                               bool cached, double total_ms,
-                               double queue_wait_ms, double execute_ms,
-                               const QueryStats* stats,
+                               bool cached, double queue_wait_ms,
+                               double execute_ms, const QueryStats* stats,
                                std::vector<TraceEvent> spans, int segments) {
   if (admin_ == nullptr) return;
   SlowLogEntry e;
   e.request_id = ctx.request_id_str;
-  e.algorithm = ctx.is_trip ? "TRIP" : ToString(ctx.kind);
+  e.algorithm = ctx.algorithm;
   e.segments = segments;
   e.query_summary = ctx.query_summary;
   e.status = status_name;
   e.cached = cached;
-  e.total_ms = total_ms;
+  e.total_ms = static_cast<double>(EventLoop::NowNs() - ctx.arrival_ns) / 1e6;
   e.queue_wait_ms = queue_wait_ms;
   e.execute_ms = execute_ms;
   e.completed_unix_ms = SlowLogNowUnixMs();
@@ -388,7 +377,7 @@ void UotsServer::HandleFrame(Connection* conn, uint64_t seq,
       HandleIngest(conn, seq, *doc);
       return;
     case RequestType::kTrip:
-      HandleTrip(conn, seq, *doc);
+      HandleRequest<TripKind>(conn, seq, *doc);
       return;
     case RequestType::kUnknown: {
       ++counters_.parse_errors;
@@ -403,9 +392,9 @@ void UotsServer::HandleFrame(Connection* conn, uint64_t seq,
       return;
     }
     case RequestType::kQuery:
-      break;
+      HandleRequest<RetrievalKind>(conn, seq, *doc);
+      return;
   }
-  HandleQuery(conn, seq, *doc);
 }
 
 void UotsServer::HandleIngest(Connection* conn, uint64_t seq,
@@ -469,9 +458,10 @@ void UotsServer::HandleIngest(Connection* conn, uint64_t seq,
                                    EventLoop::NowNs() - apply_start_ns);
 }
 
-void UotsServer::HandleQuery(Connection* conn, uint64_t seq,
-                             const JsonValue& doc) {
-  Result<QueryRequest> parsed = ParseQueryRequest(doc);
+template <typename Kind>
+void UotsServer::HandleRequest(Connection* conn, uint64_t seq,
+                               const JsonValue& doc) {
+  Result<typename Kind::Request> parsed = Kind::Parse(doc);
   if (!parsed.ok()) {
     ++counters_.parse_errors;
     ++conn->stats().protocol_errors;
@@ -479,8 +469,8 @@ void UotsServer::HandleQuery(Connection* conn, uint64_t seq,
               ResponseStatus::kParseError, parsed.status().message());
     return;
   }
-  QueryRequest req = std::move(*parsed);
-  ++counters_.requests;
+  typename Kind::Request req = std::move(*parsed);
+  ++RequestTally(counters_, req);
   const int64_t arrival_ns = EventLoop::NowNs();
   if (req.request_id.empty()) {
     req.request_id = GenerateRequestId(conn->id());
@@ -493,38 +483,31 @@ void UotsServer::HandleQuery(Connection* conn, uint64_t seq,
     return;
   }
 
-  const AlgorithmKind kind =
-      req.has_algorithm ? req.algorithm : AlgorithmKind::kUots;
+  const typename Kind::Variant variant = Kind::VariantOf(req);
 
   // Result-cache probe, on the reactor thread: a hit answers immediately
   // without touching admission or the thread pool. On a miss the canonical
   // key rides along so the worker populates the cache.
   std::string cache_key;
   if (req.cache != CacheMode::kBypass) {
-    if (auto hit = service_->CacheLookup(req.query, kind, &cache_key)) {
+    if (auto hit = service_->CacheLookup<Kind>(req.query, variant,
+                                               &cache_key)) {
       ++counters_.cache_hits;
       ++counters_.responses_ok;
-      QueryResponse resp;
-      resp.id = req.id;
-      resp.request_id = req.request_id;
-      resp.status = ResponseStatus::kOk;
-      resp.results = hit->items;
-      resp.has_stats = true;
-      resp.stats = hit->stats;
+      typename Kind::Response resp = OkResponse<Kind>(
+          req.id, req.request_id, (*hit).*Kind::kCachedBody, hit->stats);
       resp.cached = true;
       Send(conn, seq, resp);
-      const int64_t done_ns = EventLoop::NowNs();
-      MetricsRegistry::Global().Record("server.request_latency",
-                                       done_ns - arrival_ns);
+      RecordLatency(arrival_ns);
       if (admin_ != nullptr) {
         RequestCtx ctx;
         ctx.request_id_str = std::move(req.request_id);
-        ctx.kind = kind;
-        ctx.query_summary = SummarizeQuery(req.query, kind);
+        ctx.algorithm = Kind::Name(variant);
+        ctx.query_summary = Kind::Summarize(req.query, variant);
+        ctx.arrival_ns = arrival_ns;
         RecordSlowLog(ctx, ToString(ResponseStatus::kOk), /*cached=*/true,
-                      static_cast<double>(done_ns - arrival_ns) / 1e6,
-                      /*queue_wait_ms=*/0.0, /*execute_ms=*/0.0,
-                      &hit->stats, {});
+                      /*queue_wait_ms=*/0.0, /*execute_ms=*/0.0, &hit->stats,
+                      {}, Kind::Segments((*hit).*Kind::kCachedBody));
       }
       return;
     }
@@ -535,9 +518,9 @@ void UotsServer::HandleQuery(Connection* conn, uint64_t seq,
   ctx->seq = seq;
   ctx->request_id = req.id;
   ctx->request_id_str = req.request_id;
-  ctx->kind = kind;
+  ctx->algorithm = Kind::Name(variant);
   if (admin_ != nullptr) {
-    ctx->query_summary = SummarizeQuery(req.query, kind);
+    ctx->query_summary = Kind::Summarize(req.query, variant);
   }
   ctx->arrival_ns = arrival_ns;
   ctx->deadline_ms = req.deadline_ms > 0.0
@@ -559,133 +542,12 @@ void UotsServer::HandleQuery(Connection* conn, uint64_t seq,
     }
   }
 
-  const bool admitted = service_->TryExecute(
-      req.query, kind, &ctx->token,
-      [this, ctx](ExecutionResult r) {
+  const bool admitted = service_->TryExecute<Kind>(
+      req.query, variant, &ctx->token,
+      [this, ctx](BasicExecutionResult<Kind> r) {
         // Worker thread: hop back to the loop that owns the connection.
         loop_.Post([this, ctx, r = std::move(r)]() mutable {
-          OnComplete(ctx, std::move(r));
-        });
-      },
-      std::move(cache_key), exec_opts);
-  if (!admitted) {
-    if (service_->shutting_down()) {
-      ++counters_.rejected_shutting_down;
-      SendError(conn, seq, req.id, ctx->request_id_str,
-                ResponseStatus::kShuttingDown, "server is shutting down");
-    } else {
-      ++counters_.rejected_overloaded;
-      SendError(conn, seq, req.id, ctx->request_id_str,
-                ResponseStatus::kOverloaded,
-                "server at capacity (" +
-                    std::to_string(opts_.service.max_inflight) +
-                    " requests in flight)");
-    }
-    return;
-  }
-
-  ++conn->inflight;
-  ++loop_inflight_;
-  if (ctx->deadline_ms > 0.0) {
-    ctx->deadline_timer =
-        loop_.AddTimerAfterMs(ctx->deadline_ms, [this, ctx] {
-          OnDeadline(ctx);
-        });
-  }
-}
-
-void UotsServer::HandleTrip(Connection* conn, uint64_t seq,
-                            const JsonValue& doc) {
-  Result<TripRequest> parsed = ParseTripRequest(doc);
-  if (!parsed.ok()) {
-    ++counters_.parse_errors;
-    ++conn->stats().protocol_errors;
-    SendError(conn, seq, 0, GenerateRequestId(conn->id()),
-              ResponseStatus::kParseError, parsed.status().message());
-    return;
-  }
-  TripRequest req = std::move(*parsed);
-  ++counters_.trip_requests;
-  const int64_t arrival_ns = EventLoop::NowNs();
-  if (req.request_id.empty()) {
-    req.request_id = GenerateRequestId(conn->id());
-  }
-
-  if (draining_) {
-    ++counters_.rejected_shutting_down;
-    SendError(conn, seq, req.id, req.request_id,
-              ResponseStatus::kShuttingDown, "server is shutting down");
-    return;
-  }
-
-  // Same reactor-side cache probe as retrieval queries; the trip key
-  // schema keeps the two families disjoint.
-  std::string cache_key;
-  if (req.cache != CacheMode::kBypass) {
-    if (auto hit = service_->TripCacheLookup(req.query, &cache_key)) {
-      ++counters_.cache_hits;
-      ++counters_.responses_ok;
-      TripResponse resp;
-      resp.id = req.id;
-      resp.request_id = req.request_id;
-      resp.status = ResponseStatus::kOk;
-      resp.trips = hit->trips;
-      resp.has_stats = true;
-      resp.stats = hit->stats;
-      resp.cached = true;
-      Send(conn, seq, resp);
-      const int64_t done_ns = EventLoop::NowNs();
-      MetricsRegistry::Global().Record("server.request_latency",
-                                       done_ns - arrival_ns);
-      if (admin_ != nullptr) {
-        RequestCtx ctx;
-        ctx.request_id_str = std::move(req.request_id);
-        ctx.is_trip = true;
-        ctx.query_summary = SummarizeTripQuery(req.query);
-        const int segments =
-            hit->trips.empty() ? 0
-                               : static_cast<int>(hit->trips[0].segments.size());
-        RecordSlowLog(ctx, ToString(ResponseStatus::kOk), /*cached=*/true,
-                      static_cast<double>(done_ns - arrival_ns) / 1e6,
-                      /*queue_wait_ms=*/0.0, /*execute_ms=*/0.0,
-                      &hit->stats, {}, segments);
-      }
-      return;
-    }
-  }
-
-  auto ctx = std::make_shared<RequestCtx>();
-  ctx->conn_id = conn->id();
-  ctx->seq = seq;
-  ctx->request_id = req.id;
-  ctx->request_id_str = req.request_id;
-  ctx->is_trip = true;
-  if (admin_ != nullptr) {
-    ctx->query_summary = SummarizeTripQuery(req.query);
-  }
-  ctx->arrival_ns = arrival_ns;
-  ctx->deadline_ms = req.deadline_ms > 0.0
-                         ? req.deadline_ms
-                         : opts_.service.default_deadline_ms;
-  if (ctx->deadline_ms > 0.0) {
-    ctx->token.SetDeadlineAfterMs(ctx->deadline_ms);
-  }
-
-  ExecuteOptions exec_opts;
-  exec_opts.span_id = HashRequestId(ctx->request_id_str);
-  if (admin_ != nullptr) {
-    const int every = admin_->trace_sample_every();
-    if (every > 0 && (++trace_sample_counter_ % static_cast<uint64_t>(
-                          every)) == 0) {
-      exec_opts.capture_spans = true;
-    }
-  }
-
-  const bool admitted = service_->TryExecuteTrip(
-      req.query, &ctx->token,
-      [this, ctx](TripExecutionResult r) {
-        loop_.Post([this, ctx, r = std::move(r)]() mutable {
-          OnTripComplete(ctx, std::move(r));
+          OnComplete<Kind>(ctx, std::move(r));
         });
       },
       std::move(cache_key), exec_opts);
@@ -850,13 +712,15 @@ void UotsServer::OnDeadline(const std::shared_ptr<RequestCtx>& ctx) {
               ResponseStatus::kDeadlineExceeded,
               "deadline of " + std::to_string(ctx->deadline_ms) +
                   " ms exceeded");
+    RecordLatency(ctx->arrival_ns);
   }
   // conn->inflight / loop_inflight_ stay up until the worker actually
   // finishes — the capacity it occupies is real until then.
 }
 
+template <typename Kind>
 void UotsServer::OnComplete(const std::shared_ptr<RequestCtx>& ctx,
-                            ExecutionResult r) {
+                            BasicExecutionResult<Kind> r) {
   // Runs on the loop thread (posted). The request's admission slot is
   // already released by the service; release the loop-side accounting.
   --loop_inflight_;
@@ -875,15 +739,14 @@ void UotsServer::OnComplete(const std::shared_ptr<RequestCtx>& ctx,
 
   const ResponseStatus ws =
       r.status.ok() ? ResponseStatus::kOk : FromStatus(r.status);
+  const int segments =
+      r.status.ok() ? Kind::Segments(r.result.*Kind::kOutputBody) : -1;
   if (conn != nullptr && !already_responded) {
     if (r.status.ok()) {
-      QueryResponse resp;
-      resp.id = ctx->request_id;
-      resp.request_id = ctx->request_id_str;
-      resp.status = ResponseStatus::kOk;
-      resp.results = std::move(r.result.items);
-      resp.has_stats = true;
-      resp.stats = r.result.stats;
+      typename Kind::Response resp =
+          OkResponse<Kind>(ctx->request_id, ctx->request_id_str,
+                           std::move(r.result.*Kind::kOutputBody),
+                           r.result.stats);
       resp.queue_wait_ms = r.queue_wait_ms;
       resp.execute_ms = r.execute_ms;
       ++counters_.responses_ok;
@@ -897,8 +760,7 @@ void UotsServer::OnComplete(const std::shared_ptr<RequestCtx>& ctx,
       SendError(conn, ctx->seq, ctx->request_id, ctx->request_id_str, ws,
                 r.status.message());
     }
-    MetricsRegistry::Global().Record(
-        "server.request_latency", EventLoop::NowNs() - ctx->arrival_ns);
+    RecordLatency(ctx->arrival_ns);
   }
   // The execution happened regardless of whether anyone was left to read
   // the answer — log it (status reflects what the client saw when the
@@ -906,80 +768,8 @@ void UotsServer::OnComplete(const std::shared_ptr<RequestCtx>& ctx,
   const char* logged_status =
       already_responded ? ToString(ResponseStatus::kDeadlineExceeded)
                         : ToString(ws);
-  RecordSlowLog(*ctx, logged_status, /*cached=*/false,
-                static_cast<double>(EventLoop::NowNs() - ctx->arrival_ns) /
-                    1e6,
-                r.queue_wait_ms, r.execute_ms,
-                r.status.ok() ? &r.result.stats : nullptr,
-                std::move(r.spans));
-
-  // Sending may have closed the connection; look it up again.
-  conn = FindConn(ctx->conn_id);
-  if (conn != nullptr && conn->close_after_flush && conn->inflight == 0 &&
-      !conn->want_write()) {
-    CloseConnection(ctx->conn_id);
-  }
-  MaybeFinishShutdown();
-}
-
-void UotsServer::OnTripComplete(const std::shared_ptr<RequestCtx>& ctx,
-                                TripExecutionResult r) {
-  // Mirror of OnComplete for trip-assembly requests (loop thread).
-  --loop_inflight_;
-
-  Connection* conn = FindConn(ctx->conn_id);
-  if (conn != nullptr) {
-    --conn->inflight;
-  }
-
-  const bool already_responded = ctx->responded;
-  ctx->responded = true;
-  if (ctx->deadline_timer != TimerHeap::kInvalidTimer) {
-    loop_.CancelTimer(ctx->deadline_timer);
-    ctx->deadline_timer = TimerHeap::kInvalidTimer;
-  }
-
-  const ResponseStatus ws =
-      r.status.ok() ? ResponseStatus::kOk : FromStatus(r.status);
-  int segments = -1;
-  if (r.status.ok()) {
-    segments = r.result.trips.empty()
-                   ? 0
-                   : static_cast<int>(r.result.trips[0].segments.size());
-  }
-  if (conn != nullptr && !already_responded) {
-    if (r.status.ok()) {
-      TripResponse resp;
-      resp.id = ctx->request_id;
-      resp.request_id = ctx->request_id_str;
-      resp.status = ResponseStatus::kOk;
-      resp.trips = std::move(r.result.trips);
-      resp.has_stats = true;
-      resp.stats = r.result.stats;
-      resp.queue_wait_ms = r.queue_wait_ms;
-      resp.execute_ms = r.execute_ms;
-      ++counters_.responses_ok;
-      Send(conn, ctx->seq, resp);
-    } else {
-      if (ws == ResponseStatus::kDeadlineExceeded) {
-        ++counters_.deadline_exceeded;
-      } else {
-        ++counters_.errors_internal;
-      }
-      SendError(conn, ctx->seq, ctx->request_id, ctx->request_id_str, ws,
-                r.status.message());
-    }
-    MetricsRegistry::Global().Record(
-        "server.request_latency", EventLoop::NowNs() - ctx->arrival_ns);
-  }
-  const char* logged_status =
-      already_responded ? ToString(ResponseStatus::kDeadlineExceeded)
-                        : ToString(ws);
-  RecordSlowLog(*ctx, logged_status, /*cached=*/false,
-                static_cast<double>(EventLoop::NowNs() - ctx->arrival_ns) /
-                    1e6,
-                r.queue_wait_ms, r.execute_ms,
-                r.status.ok() ? &r.result.stats : nullptr,
+  RecordSlowLog(*ctx, logged_status, /*cached=*/false, r.queue_wait_ms,
+                r.execute_ms, r.status.ok() ? &r.result.stats : nullptr,
                 std::move(r.spans), segments);
 
   // Sending may have closed the connection; look it up again.

@@ -179,8 +179,7 @@ class UotsServer {
     uint64_t seq = 0;             ///< frame's place in its connection's order
     int64_t request_id = 0;       ///< wire "id" (numeric correlation)
     std::string request_id_str;   ///< "request_id" (observability key)
-    AlgorithmKind kind = AlgorithmKind::kUots;
-    bool is_trip = false;         ///< trip-assembly request (kind unused)
+    const char* algorithm = "";   ///< slow-log name (engine, or "TRIP")
     std::string query_summary;    ///< only filled when the admin plane is on
     int64_t arrival_ns = 0;
     double deadline_ms = 0.0;
@@ -203,8 +202,11 @@ class UotsServer {
   // down to exactly one Send/SendError, which writes the reply in request
   // order (Connection::QueueResponse).
   void HandleFrame(Connection* conn, uint64_t seq, std::string_view payload);
-  void HandleQuery(Connection* conn, uint64_t seq, const JsonValue& doc);
-  void HandleTrip(Connection* conn, uint64_t seq, const JsonValue& doc);
+  /// The request pipeline, once for every query kind (request_kind.h):
+  /// parse, drain check, cache probe and hit reply, deadline, trace
+  /// sampling and admission. OnComplete answers what it admitted.
+  template <typename Kind>
+  void HandleRequest(Connection* conn, uint64_t seq, const JsonValue& doc);
   void HandleIngest(Connection* conn, uint64_t seq, const JsonValue& doc);
   /// Background-thread body of one compaction (never touches loop state).
   void RunCompaction(std::shared_ptr<const TrajectoryDatabase> base,
@@ -224,9 +226,9 @@ class UotsServer {
   /// via the metrics timer's published values).
   void PublishIngestMetrics() const;
   void OnDeadline(const std::shared_ptr<RequestCtx>& ctx);
-  void OnComplete(const std::shared_ptr<RequestCtx>& ctx, ExecutionResult r);
-  void OnTripComplete(const std::shared_ptr<RequestCtx>& ctx,
-                      TripExecutionResult r);
+  template <typename Kind>
+  void OnComplete(const std::shared_ptr<RequestCtx>& ctx,
+                  BasicExecutionResult<Kind> r);
 
   Connection* FindConn(uint64_t conn_id);
   /// Encodes a Query/Trip/IngestResponse as the reply to frame `seq` and
@@ -250,9 +252,9 @@ class UotsServer {
   /// `segments` is the best assembled trip's segment count for trip
   /// requests (-1 for retrieval queries, where it is meaningless).
   void RecordSlowLog(const RequestCtx& ctx, const char* status_name,
-                     bool cached, double total_ms, double queue_wait_ms,
-                     double execute_ms, const QueryStats* stats,
-                     std::vector<TraceEvent> spans, int segments = -1);
+                     bool cached, double queue_wait_ms, double execute_ms,
+                     const QueryStats* stats, std::vector<TraceEvent> spans,
+                     int segments);
 
   std::shared_ptr<const TrajectoryDatabase> db_;
   ServerOptions opts_;

@@ -63,29 +63,31 @@ void UotsService::SwapDatabase(std::shared_ptr<const TrajectoryDatabase> db) {
   // Executing engines are safe — their admission snapshot pins the old
   // database until release, where the version tag discards them.
   std::lock_guard<std::mutex> lock(engines_mu_);
-  free_engines_.clear();
-  free_trip_planners_.clear();
+  std::get<EngineList<RetrievalKind>>(free_engines_).clear();
+  std::get<EngineList<TripKind>>(free_engines_).clear();
 }
 
-std::unique_ptr<SearchAlgorithm> UotsService::AcquireEngine(
-    AlgorithmKind kind, const DbSnapshot& snap) {
+template <typename Kind>
+std::unique_ptr<typename Kind::Engine> UotsService::AcquireEngine(
+    typename Kind::Variant variant, const DbSnapshot& snap) {
   {
     std::lock_guard<std::mutex> lock(engines_mu_);
-    for (size_t i = 0; i < free_engines_.size(); ++i) {
-      if (free_engines_[i].kind == kind &&
-          free_engines_[i].db_version == snap.version) {
-        auto engine = std::move(free_engines_[i].engine);
-        free_engines_.erase(free_engines_.begin() +
-                            static_cast<ptrdiff_t>(i));
+    EngineList<Kind>& free = std::get<EngineList<Kind>>(free_engines_);
+    for (size_t i = 0; i < free.size(); ++i) {
+      if (free[i].variant == variant && free[i].db_version == snap.version) {
+        auto engine = std::move(free[i].engine);
+        free.erase(free.begin() + static_cast<ptrdiff_t>(i));
         return engine;
       }
     }
   }
-  return CreateAlgorithm(*snap.db, kind, opts_.uots);
+  return Kind::MakeEngine(*snap.db, variant, opts_.uots);
 }
 
-void UotsService::ReleaseEngine(AlgorithmKind kind, uint64_t db_version,
-                                std::unique_ptr<SearchAlgorithm> engine) {
+template <typename Kind>
+void UotsService::ReleaseEngine(typename Kind::Variant variant,
+                                uint64_t db_version,
+                                std::unique_ptr<typename Kind::Engine> engine) {
   engine->set_cancel(nullptr);  // never let a dead request's token linger
   std::lock_guard<std::mutex> lock(engines_mu_);
   // A swap may have happened while this engine executed; it references the
@@ -94,69 +96,37 @@ void UotsService::ReleaseEngine(AlgorithmKind kind, uint64_t db_version,
   // so a push racing the clear either sees the new version and drops, or
   // lands before the clear and is flushed by it.)
   if (db_version != db_version_.load(std::memory_order_acquire)) return;
-  // Cap the pool at one idle engine per worker and per kind: at most
-  // `threads` requests of a kind run concurrently, so extras could only
+  // Cap the pool at one idle engine per worker and per variant: at most
+  // `threads` requests of a variant run concurrently, so extras could only
   // accumulate (e.g. after a burst that mixed algorithms) and pin scratch
   // memory forever. Beyond the cap the engine is simply destroyed.
-  size_t same_kind = 0;
-  for (const PooledEngine& p : free_engines_) {
-    if (p.kind == kind) ++same_kind;
+  EngineList<Kind>& free = std::get<EngineList<Kind>>(free_engines_);
+  size_t same_variant = 0;
+  for (const PooledEngine<Kind>& p : free) {
+    if (p.variant == variant) ++same_variant;
   }
-  if (same_kind >= static_cast<size_t>(opts_.threads)) return;
-  free_engines_.push_back(PooledEngine{kind, db_version, std::move(engine)});
-}
-
-std::unique_ptr<TripPlanner> UotsService::AcquireTripPlanner(
-    const DbSnapshot& snap) {
-  {
-    std::lock_guard<std::mutex> lock(engines_mu_);
-    for (size_t i = 0; i < free_trip_planners_.size(); ++i) {
-      if (free_trip_planners_[i].db_version == snap.version) {
-        auto planner = std::move(free_trip_planners_[i].planner);
-        free_trip_planners_.erase(free_trip_planners_.begin() +
-                                  static_cast<ptrdiff_t>(i));
-        return planner;
-      }
-    }
-  }
-  return std::make_unique<TripPlanner>(*snap.db);
-}
-
-void UotsService::ReleaseTripPlanner(uint64_t db_version,
-                                     std::unique_ptr<TripPlanner> planner) {
-  planner->set_cancel(nullptr);
-  std::lock_guard<std::mutex> lock(engines_mu_);
-  // Same swap-race reasoning as ReleaseEngine: a stale-version planner
-  // references the retired database and must not rejoin the pool.
-  if (db_version != db_version_.load(std::memory_order_acquire)) return;
-  if (free_trip_planners_.size() >= static_cast<size_t>(opts_.threads)) {
-    return;
-  }
-  free_trip_planners_.push_back(
-      PooledTripPlanner{db_version, std::move(planner)});
-}
-
-size_t UotsService::pooled_trip_planners() const {
-  std::lock_guard<std::mutex> lock(engines_mu_);
-  return free_trip_planners_.size();
+  if (same_variant >= static_cast<size_t>(opts_.threads)) return;
+  free.push_back(PooledEngine<Kind>{variant, db_version, std::move(engine)});
 }
 
 size_t UotsService::pooled_engines(AlgorithmKind kind) const {
   std::lock_guard<std::mutex> lock(engines_mu_);
   size_t n = 0;
-  for (const PooledEngine& p : free_engines_) {
-    if (p.kind == kind) ++n;
+  for (const auto& p : std::get<EngineList<RetrievalKind>>(free_engines_)) {
+    if (p.variant == kind) ++n;
   }
   return n;
 }
 
 size_t UotsService::pooled_engines() const {
   std::lock_guard<std::mutex> lock(engines_mu_);
-  return free_engines_.size();
+  return std::get<EngineList<RetrievalKind>>(free_engines_).size();
 }
 
+template <typename Kind>
 std::shared_ptr<const CachedResult> UotsService::CacheLookup(
-    const UotsQuery& query, AlgorithmKind kind, std::string* key_out) {
+    const typename Kind::Query& query, typename Kind::Variant variant,
+    std::string* key_out) {
   if (result_cache_ == nullptr) {
     key_out->clear();
     return nullptr;
@@ -168,22 +138,7 @@ std::shared_ptr<const CachedResult> UotsService::CacheLookup(
   // vice versa. This replaces the construction-time salt that kept
   // serving pre-ingest answers after the dataset changed.
   const uint64_t salt = db()->live_fingerprint();
-  *key_out = EncodeResultCacheKey(query, kind, opts_.uots, salt);
-  auto hit = result_cache_->Lookup(*key_out);
-  MetricsRegistry::Global().Record(
-      "server.cache.lookup", static_cast<int64_t>(timer.ElapsedMillis() * 1e6));
-  return hit;
-}
-
-std::shared_ptr<const CachedResult> UotsService::TripCacheLookup(
-    const TripQuery& query, std::string* key_out) {
-  if (result_cache_ == nullptr) {
-    key_out->clear();
-    return nullptr;
-  }
-  WallTimer timer;
-  const uint64_t salt = db()->live_fingerprint();
-  *key_out = EncodeTripCacheKey(query, salt);
+  *key_out = Kind::CacheKey(query, variant, opts_.uots, salt);
   auto hit = result_cache_->Lookup(*key_out);
   MetricsRegistry::Global().Record(
       "server.cache.lookup", static_cast<int64_t>(timer.ElapsedMillis() * 1e6));
@@ -204,9 +159,11 @@ void UotsService::PublishCacheMetrics() const {
   reg.SetCounter("server.cache.bytes", s.bytes);
 }
 
-bool UotsService::TryExecute(const UotsQuery& query, AlgorithmKind kind,
+template <typename Kind>
+bool UotsService::TryExecute(const typename Kind::Query& query,
+                             typename Kind::Variant variant,
                              const CancelToken* cancel,
-                             std::function<void(ExecutionResult)> done,
+                             std::function<void(BasicExecutionResult<Kind>)> done,
                              std::string cache_key,
                              const ExecuteOptions& exec_opts) {
   if (shutting_down_.load(std::memory_order_relaxed)) return false;
@@ -220,10 +177,10 @@ bool UotsService::TryExecute(const UotsQuery& query, AlgorithmKind kind,
   // Pin the database build this request will run against: a compaction
   // swap mid-flight retires the old base only once this snapshot drops.
   DbSnapshot snap = SnapshotDb();
-  auto task = [this, query, kind, cancel, done = std::move(done),
+  auto task = [this, query, variant, cancel, done = std::move(done),
                cache_key = std::move(cache_key), admitted_ns,
                snap = std::move(snap), exec_opts]() mutable {
-    ExecutionResult out;
+    BasicExecutionResult<Kind> out;
     out.queue_wait_ms =
         static_cast<double>(CancelToken::NowNs() - admitted_ns) / 1e6;
     WallTimer exec_timer;
@@ -236,10 +193,10 @@ bool UotsService::TryExecute(const UotsQuery& query, AlgorithmKind kind,
         // Deadline passed while queued: skip the engine entirely.
         out.status = Status::DeadlineExceeded("deadline exceeded in queue");
       } else {
-        auto engine = AcquireEngine(kind, snap);
+        auto engine = AcquireEngine<Kind>(variant, snap);
         engine->set_cancel(cancel);
-        Result<SearchResult> r = engine->Search(query);
-        ReleaseEngine(kind, snap.version, std::move(engine));
+        Result<typename Kind::Output> r = Kind::Run(*engine, query);
+        ReleaseEngine<Kind>(variant, snap.version, std::move(engine));
         if (r.ok()) {
           out.result = std::move(*r);
           oracle_lookups_total_.fetch_add(out.result.stats.oracle_lookups,
@@ -249,7 +206,7 @@ bool UotsService::TryExecute(const UotsQuery& query, AlgorithmKind kind,
               std::memory_order_relaxed);
           if (result_cache_ != nullptr && !cache_key.empty()) {
             auto cached = std::make_shared<CachedResult>();
-            cached->items = out.result.items;
+            (*cached).*Kind::kCachedBody = out.result.*Kind::kOutputBody;
             cached->stats = out.result.stats;
             result_cache_->Insert(cache_key, std::move(cached));
           }
@@ -264,6 +221,7 @@ bool UotsService::TryExecute(const UotsQuery& query, AlgorithmKind kind,
         "server.queue_wait", static_cast<int64_t>(out.queue_wait_ms * 1e6));
     MetricsRegistry::Global().Record(
         "server.execute", static_cast<int64_t>(out.execute_ms * 1e6));
+    Kind::RecordPhases(out.status, out.result, out.execute_ms);
     done(std::move(out));
     // Publish completion last so Drain() cannot return while `done` runs.
     if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -281,75 +239,19 @@ bool UotsService::TryExecute(const UotsQuery& query, AlgorithmKind kind,
   return true;
 }
 
-bool UotsService::TryExecuteTrip(const TripQuery& query,
-                                 const CancelToken* cancel,
-                                 std::function<void(TripExecutionResult)> done,
-                                 std::string cache_key,
-                                 const ExecuteOptions& exec_opts) {
-  if (shutting_down_.load(std::memory_order_relaxed)) return false;
-  const size_t prev = inflight_.fetch_add(1, std::memory_order_acq_rel);
-  if (prev >= opts_.max_inflight) {
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    return false;
-  }
-  const int64_t admitted_ns = CancelToken::NowNs();
-  DbSnapshot snap = SnapshotDb();
-  auto task = [this, query, cancel, done = std::move(done),
-               cache_key = std::move(cache_key), admitted_ns,
-               snap = std::move(snap), exec_opts]() mutable {
-    TripExecutionResult out;
-    out.queue_wait_ms =
-        static_cast<double>(CancelToken::NowNs() - admitted_ns) / 1e6;
-    WallTimer exec_timer;
-    if (exec_opts.capture_spans) Trace::BeginThreadCapture();
-    {
-      UOTS_TRACE_SCOPE_ID("trip_execute", exec_opts.span_id);
-      if (cancel != nullptr && cancel->ShouldAbort()) {
-        out.status = Status::DeadlineExceeded("deadline exceeded in queue");
-      } else {
-        auto planner = AcquireTripPlanner(snap);
-        planner->set_cancel(cancel);
-        Result<TripResult> r = planner->Plan(query);
-        ReleaseTripPlanner(snap.version, std::move(planner));
-        if (r.ok()) {
-          out.result = std::move(*r);
-          oracle_lookups_total_.fetch_add(out.result.stats.oracle_lookups,
-                                          std::memory_order_relaxed);
-          if (result_cache_ != nullptr && !cache_key.empty()) {
-            auto cached = std::make_shared<CachedResult>();
-            cached->trips = out.result.trips;
-            cached->stats = out.result.stats;
-            result_cache_->Insert(cache_key, std::move(cached));
-          }
-        } else {
-          out.status = r.status();
-        }
-      }
-    }
-    if (exec_opts.capture_spans) out.spans = Trace::EndThreadCapture();
-    out.execute_ms = exec_timer.ElapsedMillis();
-    auto& reg = MetricsRegistry::Global();
-    reg.Record("server.queue_wait",
-               static_cast<int64_t>(out.queue_wait_ms * 1e6));
-    reg.Record("trip.plan", static_cast<int64_t>(out.execute_ms * 1e6));
-    if (out.status.ok()) {
-      reg.Record("trip.harvest",
-                 out.result.stats.PhaseNs(QueryPhase::kTripHarvest));
-      reg.Record("trip.assemble",
-                 out.result.stats.PhaseNs(QueryPhase::kTripAssemble));
-    }
-    done(std::move(out));
-    if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(drain_mu_);
-      drain_cv_.notify_all();
-    }
-  };
-  auto fut = pool_->TrySubmit(std::move(task));
-  if (!fut.has_value()) {
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    return false;
-  }
-  return true;
-}
+// The pipeline's two query kinds (server/request_kind.h).
+template bool UotsService::TryExecute<RetrievalKind>(
+    const UotsQuery&, AlgorithmKind, const CancelToken*,
+    std::function<void(BasicExecutionResult<RetrievalKind>)>, std::string,
+    const ExecuteOptions&);
+template bool UotsService::TryExecute<TripKind>(
+    const TripQuery&, TripKind::Variant, const CancelToken*,
+    std::function<void(BasicExecutionResult<TripKind>)>, std::string,
+    const ExecuteOptions&);
+template std::shared_ptr<const CachedResult>
+UotsService::CacheLookup<RetrievalKind>(const UotsQuery&, AlgorithmKind,
+                                        std::string*);
+template std::shared_ptr<const CachedResult> UotsService::CacheLookup<TripKind>(
+    const TripQuery&, TripKind::Variant, std::string*);
 
 }  // namespace uots

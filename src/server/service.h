@@ -5,10 +5,12 @@
 // executing): once full, TryExecute refuses immediately and the server
 // answers "overloaded" — a saturating burst costs attackers a rejection
 // frame each, never unbounded queue memory or latency collapse for the
-// requests already admitted. Engines (which hold per-thread scratch state)
-// are pooled per algorithm kind and re-armed with the request's CancelToken
-// before every search, so a fired deadline aborts the engine at its next
-// round boundary instead of holding a worker hostage.
+// requests already admitted. Engines and trip planners (which hold
+// per-thread scratch state) are pooled per query kind and variant, and
+// re-armed with the request's CancelToken before every run, so a fired
+// deadline aborts the engine at its next round boundary instead of holding
+// a worker hostage. Retrieval and trips share one worker body, one cache
+// probe and one pool, written once over the kind traits in request_kind.h.
 
 #ifndef UOTS_SERVER_SERVICE_H_
 #define UOTS_SERVER_SERVICE_H_
@@ -18,12 +20,15 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cache/result_cache.h"
 #include "core/algorithm.h"
 #include "core/database.h"
-#include "trip/planner.h"
+#include "server/request_kind.h"
 #include "util/cancel.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -60,27 +65,22 @@ struct ExecuteOptions {
   bool capture_spans = false;
 };
 
-/// \brief Outcome of one executed request, delivered to the completion
-/// callback on a worker thread.
-struct ExecutionResult {
-  Status status;          ///< engine status (OK, kDeadlineExceeded, ...)
-  SearchResult result;    ///< valid when status.ok()
-  double queue_wait_ms = 0.0;  ///< admission -> worker pickup
-  double execute_ms = 0.0;     ///< engine wall time
+/// \brief Outcome of one executed request of query kind `Kind` (see
+/// server/request_kind.h), delivered to the completion callback on a worker
+/// thread.
+template <typename Kind>
+struct BasicExecutionResult {
+  Status status;                 ///< engine status (OK, kDeadlineExceeded, ...)
+  typename Kind::Output result;  ///< valid when status.ok()
+  double queue_wait_ms = 0.0;    ///< admission -> worker pickup
+  double execute_ms = 0.0;       ///< engine wall time
   /// The request's span tree when ExecuteOptions::capture_spans was set
   /// (names are static strings; safe to keep past the request).
   std::vector<TraceEvent> spans;
 };
 
-/// \brief Outcome of one executed trip request (see TryExecuteTrip).
-struct TripExecutionResult {
-  Status status;        ///< planner status (OK, kDeadlineExceeded, ...)
-  TripResult result;    ///< valid when status.ok()
-  double queue_wait_ms = 0.0;  ///< admission -> worker pickup
-  double execute_ms = 0.0;     ///< planner wall time
-  /// The request's span tree when ExecuteOptions::capture_spans was set.
-  std::vector<TraceEvent> spans;
-};
+/// Outcome of one retrieval query.
+using ExecutionResult = BasicExecutionResult<RetrievalKind>;
 
 /// \brief Thread-pool-backed query executor with bounded admission.
 ///
@@ -105,43 +105,49 @@ class UotsService {
   UotsService(const UotsService&) = delete;
   UotsService& operator=(const UotsService&) = delete;
 
-  /// Admits and dispatches one query. `cancel` (may be nullptr) must stay
-  /// valid until `done` runs; `done` is invoked exactly once on a worker
-  /// thread when admission succeeds. \return false when the service is at
+  /// Admits and dispatches one request of query kind `Kind`, answered by
+  /// the pooled engine `variant`. `cancel` (may be nullptr) must stay valid
+  /// until `done` runs; `done` is invoked exactly once on a worker thread
+  /// when admission succeeds. \return false when the service is at
   /// capacity or shutting down — `done` is NOT invoked in that case.
   /// A non-empty `cache_key` (from CacheLookup's miss path) makes a
   /// successful result populate the result cache on the worker thread.
+  template <typename Kind>
+  bool TryExecute(const typename Kind::Query& query,
+                  typename Kind::Variant variant, const CancelToken* cancel,
+                  std::function<void(BasicExecutionResult<Kind>)> done,
+                  std::string cache_key = {},
+                  const ExecuteOptions& exec_opts = {});
+
+  /// TryExecute for a retrieval query run by engine `kind`.
   bool TryExecute(const UotsQuery& query, AlgorithmKind kind,
                   const CancelToken* cancel,
                   std::function<void(ExecutionResult)> done,
                   std::string cache_key = {},
-                  const ExecuteOptions& exec_opts = {});
-
-  /// Admits and dispatches one trip-assembly query. Shares the admission
-  /// budget, worker pool, snapshot pinning, and drain accounting with
-  /// TryExecute; trip planners are pooled separately from retrieval
-  /// engines (same version-tagged lifecycle). \return false when at
-  /// capacity or shutting down — `done` is NOT invoked in that case.
-  bool TryExecuteTrip(const TripQuery& query, const CancelToken* cancel,
-                      std::function<void(TripExecutionResult)> done,
-                      std::string cache_key = {},
-                      const ExecuteOptions& exec_opts = {});
+                  const ExecuteOptions& exec_opts = {}) {
+    return TryExecute<RetrievalKind>(query, kind, cancel, std::move(done),
+                                     std::move(cache_key), exec_opts);
+  }
 
   /// \brief Result-cache probe, cheap enough for the reactor thread.
   ///
   /// Returns the cached answer on a hit. On a miss, `key_out` receives the
   /// canonical key to pass to TryExecute so the computed result gets
   /// cached; with caching disabled (or for bypassed requests — don't call)
-  /// `key_out` is cleared and the return is null. Lookup time lands in the
+  /// `key_out` is cleared and the return is null. Keys carry the kind's
+  /// schema byte, so kinds never collide. Lookup time lands in the
   /// "server.cache.lookup" histogram.
+  template <typename Kind>
+  std::shared_ptr<const CachedResult> CacheLookup(
+      const typename Kind::Query& query, typename Kind::Variant variant,
+      std::string* key_out);
+
+  /// CacheLookup for a retrieval query run by engine `kind`.
   std::shared_ptr<const CachedResult> CacheLookup(const UotsQuery& query,
                                                   AlgorithmKind kind,
-                                                  std::string* key_out);
-
-  /// Trip-family twin of CacheLookup (schema byte keeps the key spaces
-  /// disjoint; the same generation salt applies).
-  std::shared_ptr<const CachedResult> TripCacheLookup(const TripQuery& query,
-                                                      std::string* key_out);
+                                                  std::string* key_out) {
+    return CacheLookup<RetrievalKind>(query, kind, key_out);
+  }
 
   /// The result cache, or null when ServiceOptions disabled it.
   ResultCache* result_cache() { return result_cache_.get(); }
@@ -192,23 +198,25 @@ class UotsService {
     return db_version_.load(std::memory_order_acquire);
   }
 
-  /// Idle pooled engines of `kind` (bounded by the worker count).
+  /// Idle pooled retrieval engines of `kind` (bounded by the worker count).
   size_t pooled_engines(AlgorithmKind kind) const;
-  /// Idle pooled engines across all kinds.
+  /// Idle pooled retrieval engines across all algorithm kinds.
   size_t pooled_engines() const;
-  /// Idle pooled trip planners (bounded by the worker count).
-  size_t pooled_trip_planners() const;
 
  private:
-  /// A pooled engine; created lazily, one per concurrently-running request
-  /// of its kind (bounded by the worker count). Engines hold raw pointers
-  /// into one database build, so every entry is tagged with the
-  /// SwapDatabase version it was built against and dies with it.
+  /// A pooled engine of query kind `Kind`; created lazily, one per
+  /// concurrently-running request of its variant (bounded by the worker
+  /// count). Engines hold raw pointers into one database build, so every
+  /// entry is tagged with the SwapDatabase version it was built against and
+  /// dies with it.
+  template <typename Kind>
   struct PooledEngine {
-    AlgorithmKind kind;
+    typename Kind::Variant variant;
     uint64_t db_version;
-    std::unique_ptr<SearchAlgorithm> engine;
+    std::unique_ptr<typename Kind::Engine> engine;
   };
+  template <typename Kind>
+  using EngineList = std::vector<PooledEngine<Kind>>;
 
   /// One admission's pinned view of the database.
   struct DbSnapshot {
@@ -217,20 +225,12 @@ class UotsService {
   };
   DbSnapshot SnapshotDb() const;
 
-  /// A pooled trip planner; same version-tagged lifecycle as PooledEngine
-  /// (planners hold raw pointers into one database build too).
-  struct PooledTripPlanner {
-    uint64_t db_version;
-    std::unique_ptr<TripPlanner> planner;
-  };
-
-  std::unique_ptr<SearchAlgorithm> AcquireEngine(AlgorithmKind kind,
-                                                 const DbSnapshot& snap);
-  void ReleaseEngine(AlgorithmKind kind, uint64_t db_version,
-                     std::unique_ptr<SearchAlgorithm> engine);
-  std::unique_ptr<TripPlanner> AcquireTripPlanner(const DbSnapshot& snap);
-  void ReleaseTripPlanner(uint64_t db_version,
-                          std::unique_ptr<TripPlanner> planner);
+  template <typename Kind>
+  std::unique_ptr<typename Kind::Engine> AcquireEngine(
+      typename Kind::Variant variant, const DbSnapshot& snap);
+  template <typename Kind>
+  void ReleaseEngine(typename Kind::Variant variant, uint64_t db_version,
+                     std::unique_ptr<typename Kind::Engine> engine);
 
   mutable std::mutex db_mu_;
   std::shared_ptr<const TrajectoryDatabase> db_;
@@ -239,9 +239,9 @@ class UotsService {
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<ResultCache> result_cache_;
 
+  /// The idle-engine pool: one version-tagged free list per query kind.
   mutable std::mutex engines_mu_;
-  std::vector<PooledEngine> free_engines_;
-  std::vector<PooledTripPlanner> free_trip_planners_;
+  std::tuple<EngineList<RetrievalKind>, EngineList<TripKind>> free_engines_;
 
   std::atomic<size_t> inflight_{0};
   std::atomic<bool> shutting_down_{false};

@@ -49,12 +49,7 @@ std::string QueryStats::ToString() const {
 
 namespace {
 
-/// The integer counters in ToJson() order, with their JSON keys.
-struct IntField {
-  const char* key;
-  int64_t QueryStats::*member;
-};
-constexpr IntField kIntFields[] = {
+constexpr QueryStatsField kIntFields[] = {
     {"visited_trajectories", &QueryStats::visited_trajectories},
     {"trajectory_hits", &QueryStats::trajectory_hits},
     {"settled_vertices", &QueryStats::settled_vertices},
@@ -90,6 +85,8 @@ void AppendDefaultDouble(double v, std::string* out) {
 
 }  // namespace
 
+std::span<const QueryStatsField> QueryStatsIntFields() { return kIntFields; }
+
 std::string QueryStats::ToJson() const {
   std::string out;
   out.reserve(640);  // the object is ~560 bytes with every counter at 0
@@ -100,7 +97,7 @@ std::string QueryStats::ToJson() const {
 void QueryStats::AppendJson(std::string* out) const {
   char buf[24];
   out->push_back('{');
-  for (const IntField& f : kIntFields) {
+  for (const QueryStatsField& f : kIntFields) {
     AppendKey(f.key, out);
     out->append(buf,
                 std::to_chars(buf, buf + sizeof(buf), this->*f.member).ptr);

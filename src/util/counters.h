@@ -12,6 +12,7 @@
 #define UOTS_UTIL_COUNTERS_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "util/timer.h"
@@ -142,6 +143,16 @@ struct QueryStats {
   /// Appends the ToJson() object to `out` (the wire encoders' form).
   void AppendJson(std::string* out) const;
 };
+
+/// \brief One integer counter of QueryStats and its JSON key.
+struct QueryStatsField {
+  const char* key;
+  int64_t QueryStats::*member;
+};
+
+/// Every integer counter, in ToJson() order: what the JSON writer emits
+/// and what a decoder reads back.
+std::span<const QueryStatsField> QueryStatsIntFields();
 
 /// \brief RAII phase accounting: adds the scope's wall time to
 /// `stats->phase_ns[phase]` and, when a trace session is active, records a

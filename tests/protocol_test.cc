@@ -316,6 +316,163 @@ TEST(ProtocolTest, AlgorithmNamesParseCaseInsensitively) {
   EXPECT_FALSE(ParseAlgorithmKind("nope").ok());
 }
 
+// --- the request envelope, through both request kinds ----------------------
+//
+// Queries and trips share the envelope fields (id, request_id, locations,
+// keywords, lambda, k, deadline_ms, cache). Every case below runs through a
+// query frame and a trip frame and must get the same verdict from both.
+
+/// A request frame with every envelope field at a valid value, except that
+/// `field` is set to `value` (or dropped when `value` is empty).
+std::string EnvelopeFrame(bool trip, const std::string& field,
+                          const std::string& value) {
+  const std::pair<std::string, std::string> defaults[] = {
+      {"id", "1"},          {"request_id", "\"r-1\""},
+      {"locations", "[1,2]"}, {"keywords", "[3,4]"},
+      {"lambda", "0.5"},    {"k", "3"},
+      {"deadline_ms", "10"}, {"cache", "\"default\""}};
+  std::string out = trip ? R"({"type":"trip")" : R"({"type":"query")";
+  for (const auto& [name, fallback] : defaults) {
+    const std::string& v = name == field ? value : fallback;
+    if (v.empty()) continue;
+    out += ",\"" + name + "\":" + v;
+  }
+  return out + "}";
+}
+
+/// A JSON array of `n` distinct vertex ids.
+std::string LocationList(size_t n) {
+  std::string out = "[";
+  for (size_t i = 0; i < n; ++i) {
+    if (i != 0) out += ',';
+    out += std::to_string(i);
+  }
+  return out + "]";
+}
+
+bool ParsesAs(bool trip, const std::string& frame) {
+  return trip ? ParseTripRequest(frame).ok() : ParseQueryRequest(frame).ok();
+}
+
+TEST(ProtocolTest, RequestEnvelopeChecksHoldForQueriesAndTrips) {
+  struct Case {
+    std::string field;
+    std::string value;
+    bool accepted;
+  };
+  const std::string id_at_cap =
+      "\"" + std::string(kMaxRequestIdBytes, 'x') + "\"";
+  const std::string id_over_cap =
+      "\"" + std::string(kMaxRequestIdBytes + 1, 'x') + "\"";
+  const std::vector<Case> cases = {
+      {"", "", true},  // the defaults themselves
+      {"id", "1.5", false},
+      {"id", "\"seven\"", false},
+      {"id", "1e16", false},
+      {"id", "-9007199254740992", true},
+      {"request_id", "7", false},
+      {"request_id", id_at_cap, true},
+      {"request_id", id_over_cap, false},
+      {"locations", "", false},
+      {"locations", "[]", false},
+      {"locations", "5", false},
+      {"locations", "[-1]", false},
+      {"locations", "[4294967296]", false},
+      {"locations", "[4294967295]", true},
+      {"locations", "[1.5]", false},
+      {"keywords", "5", false},
+      {"keywords", "[-1]", false},
+      {"keywords", "[4294967296]", false},
+      {"keywords", "", true},
+      {"lambda", "\"half\"", false},
+      {"lambda", "null", false},
+      {"k", "-1", false},
+      {"k", "2147483648", false},
+      {"k", "2147483647", true},
+      {"deadline_ms", "-1", false},
+      {"deadline_ms", "\"soon\"", false},
+      {"deadline_ms", "0", true},
+      {"cache", "\"maybe\"", false},
+      {"cache", "7", false},
+      {"cache", "\"bypass\"", true},
+  };
+  for (const Case& c : cases) {
+    for (const bool trip : {false, true}) {
+      const std::string frame = EnvelopeFrame(trip, c.field, c.value);
+      EXPECT_EQ(ParsesAs(trip, frame), c.accepted)
+          << (trip ? "trip" : "query") << " frame: " << frame;
+    }
+  }
+  // Each kind has its own location cap: exactly at it is accepted, one
+  // more is rejected.
+  for (const bool trip : {false, true}) {
+    const size_t cap = trip ? kMaxTripLocations : kMaxQueryLocations;
+    EXPECT_TRUE(
+        ParsesAs(trip, EnvelopeFrame(trip, "locations", LocationList(cap))))
+        << (trip ? "trip" : "query") << " at the location cap";
+    EXPECT_FALSE(ParsesAs(
+        trip, EnvelopeFrame(trip, "locations", LocationList(cap + 1))))
+        << (trip ? "trip" : "query") << " over the location cap";
+  }
+}
+
+TEST(ProtocolTest, EveryStatsCounterSurvivesBothResponseDecoders) {
+  QueryStats stats;
+  stats.visited_trajectories = 1;
+  stats.trajectory_hits = 2;
+  stats.settled_vertices = 3;
+  stats.heap_pops = 4;
+  stats.heap_pushes = 5;
+  stats.heap_decreases = 6;
+  stats.heap_stale_pops = 7;
+  stats.candidates = 8;
+  stats.posting_entries = 9;
+  stats.schedule_steps = 10;
+  stats.bound_rebuilds = 11;
+  stats.dcache_hits = 12;
+  stats.dcache_replayed = 13;
+  stats.dcache_published = 14;
+  stats.oracle_lookups = 15;
+  stats.oracle_pruned_candidates = 16;
+  stats.elapsed_ms = 17.5;
+  const auto expect_all = [&stats](const QueryStats& got, const char* kind) {
+    EXPECT_EQ(got.visited_trajectories, stats.visited_trajectories) << kind;
+    EXPECT_EQ(got.trajectory_hits, stats.trajectory_hits) << kind;
+    EXPECT_EQ(got.settled_vertices, stats.settled_vertices) << kind;
+    EXPECT_EQ(got.heap_pops, stats.heap_pops) << kind;
+    EXPECT_EQ(got.heap_pushes, stats.heap_pushes) << kind;
+    EXPECT_EQ(got.heap_decreases, stats.heap_decreases) << kind;
+    EXPECT_EQ(got.heap_stale_pops, stats.heap_stale_pops) << kind;
+    EXPECT_EQ(got.candidates, stats.candidates) << kind;
+    EXPECT_EQ(got.posting_entries, stats.posting_entries) << kind;
+    EXPECT_EQ(got.schedule_steps, stats.schedule_steps) << kind;
+    EXPECT_EQ(got.bound_rebuilds, stats.bound_rebuilds) << kind;
+    EXPECT_EQ(got.dcache_hits, stats.dcache_hits) << kind;
+    EXPECT_EQ(got.dcache_replayed, stats.dcache_replayed) << kind;
+    EXPECT_EQ(got.dcache_published, stats.dcache_published) << kind;
+    EXPECT_EQ(got.oracle_lookups, stats.oracle_lookups) << kind;
+    EXPECT_EQ(got.oracle_pruned_candidates, stats.oracle_pruned_candidates)
+        << kind;
+    EXPECT_EQ(got.elapsed_ms, stats.elapsed_ms) << kind;
+  };
+
+  QueryResponse query;
+  query.has_stats = true;
+  query.stats = stats;
+  auto q = ParseQueryResponse(EncodeQueryResponse(query));
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ASSERT_TRUE(q->has_stats);
+  expect_all(q->stats, "query");
+
+  TripResponse trip;
+  trip.has_stats = true;
+  trip.stats = stats;
+  auto t = ParseTripResponse(EncodeTripResponse(trip));
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_TRUE(t->has_stats);
+  expect_all(t->stats, "trip");
+}
+
 // --- JSON primitives used by the codecs ------------------------------------
 
 TEST(JsonTest, ParsesNestedStructures) {
@@ -488,6 +645,64 @@ TEST(WireBytesTest, IngestResponseGolden) {
   EXPECT_EQ(EncodeIngestResponse(err),
             R"({"id":0,"status":"invalid_argument","error":")" AWKWARD_JSON
             R"(","retryable":false})");
+}
+
+TEST(WireBytesTest, RequestGoldens) {
+  QueryRequest q;
+  q.id = 42;
+  q.request_id = kAwkwardText;
+  q.query.locations = {7, 4294967295u, 3};
+  q.query.keywords = KeywordSet({5, 2, 9});
+  q.query.lambda = 0.1 + 0.2;
+  q.query.k = 10;
+  q.algorithm = AlgorithmKind::kBruteForce;
+  q.has_algorithm = true;
+  q.deadline_ms = 25.5;
+  q.cache = CacheMode::kBypass;
+  EXPECT_EQ(EncodeQueryRequest(q),
+            R"({"id":42,"request_id":")" AWKWARD_JSON R"(",)"
+            R"("locations":[7,4294967295,3],"keywords":[2,5,9],)"
+            R"("lambda":0.30000000000000004,"k":10,"algorithm":"BF",)"
+            R"("deadline_ms":25.5,"cache":"bypass"})");
+  EXPECT_EQ(EncodeQueryRequest(QueryRequest{}),
+            R"({"id":0,"locations":[],"keywords":[],"lambda":0.5,"k":1})");
+
+  TripRequest t;
+  t.id = -7;
+  t.request_id = "cli-9";
+  t.query.locations = {9, 2, 31};
+  t.query.keywords = KeywordSet({17, 1});
+  t.query.lambda = 1.0 / 3.0;
+  t.query.k = 4;
+  t.query.ordered = true;
+  t.query.use_categories = true;
+  t.query.gap_budget_m = 1250.5;
+  t.query.segments_per_location = 12;
+  t.query.window = 6;
+  t.deadline_ms = 1e-5;
+  t.cache = CacheMode::kBypass;
+  EXPECT_EQ(EncodeTripRequest(t),
+            R"({"id":-7,"type":"trip","request_id":"cli-9",)"
+            R"("locations":[9,2,31],"keywords":[1,17],)"
+            R"("lambda":0.3333333333333333,"k":4,"ordered":true,)"
+            R"("categories":true,"gap_budget_m":1250.5,)"
+            R"("segments_per_location":12,"window":6,"deadline_ms":1e-05,)"
+            R"("cache":"bypass"})");
+  EXPECT_EQ(EncodeTripRequest(TripRequest{}),
+            R"({"id":0,"type":"trip","locations":[],"keywords":[],)"
+            R"("lambda":0.5,"k":1,"segments_per_location":8,"window":4})");
+
+  IngestRequest i;
+  i.id = 9;
+  i.request_id = "cli-7";
+  Trajectory traj;
+  traj.samples = {Sample{12, 3600}, Sample{13, 3660}};
+  traj.keywords = KeywordSet({3, 15});
+  i.trajectories = {traj, Trajectory{}};
+  EXPECT_EQ(EncodeIngestRequest(i),
+            R"({"id":9,"type":"ingest","request_id":"cli-7","trajectories":[)"
+            R"({"samples":[[12,3600],[13,3660]],"keywords":[3,15]},)"
+            R"({"samples":[],"keywords":[]}]})");
 }
 
 TEST(WireBytesTest, EveryErrorStatusGolden) {

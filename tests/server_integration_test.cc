@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -712,6 +713,70 @@ TEST(AdminIntegrationTest, MetricsServeLiveAndStayMonotonicUnderLoad) {
       &latency_count));
   EXPECT_DOUBLE_EQ(latency_count - latency_count_before,
                    static_cast<double>(kClients * kRequestsPerClient));
+}
+
+/// The server-side latency sample count, 0 before the first sample.
+double LatencyCount(uint16_t admin_port) {
+  double count = 0.0;
+  promtext::FindValue(AdminGet(admin_port, "/metrics").body,
+                      "uots_server_request_latency_seconds_count", &count);
+  return count;
+}
+
+/// Polls /metrics until no admitted request is left on the loop.
+bool WaitForLoopIdle(uint16_t admin_port) {
+  for (int i = 0; i < 500; ++i) {
+    double inflight = -1.0;
+    promtext::FindValue(AdminGet(admin_port, "/metrics").body,
+                        "uots_server_inflight_requests", &inflight);
+    if (inflight == 0.0) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
+TEST(AdminIntegrationTest, DeadlineRepliesAreCountedInRequestLatency) {
+  auto db = MakeTestDb();
+  ServerOptions opts = WithAdmin();
+  opts.service.threads = 1;
+  ServerFixture fx(*db, opts);
+  const uint16_t admin_port = fx.server().admin_port();
+  const auto queries = MakeQueries(*db, 8);
+  const double before = LatencyCount(admin_port);
+
+  // Eight brute-force misses keep the only worker busy; the ninth request
+  // then waits in the queue past its deadline, so the reactor answers it
+  // with deadline_exceeded and the worker's late completion is discarded.
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", fx.port()).ok());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    QueryRequest req;
+    req.id = static_cast<int64_t>(i);
+    req.query = queries[i];
+    req.algorithm = AlgorithmKind::kBruteForce;
+    req.has_algorithm = true;
+    req.cache = CacheMode::kBypass;
+    ASSERT_TRUE(client.Send(req).ok());
+  }
+  QueryRequest late;
+  late.id = 99;
+  late.query = queries[0];
+  late.deadline_ms = 0.3;
+  ASSERT_TRUE(client.Send(late).ok());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto resp = client.Receive();
+    ASSERT_TRUE(resp.ok() && resp->ok()) << resp.status().ToString();
+  }
+  auto timed_out = client.Receive();
+  ASSERT_TRUE(timed_out.ok()) << timed_out.status().ToString();
+  ASSERT_EQ(timed_out->id, 99);
+  ASSERT_EQ(timed_out->status, ResponseStatus::kDeadlineExceeded);
+
+  // Once the worker has drained, every request that got a reply has
+  // exactly one latency sample, the deadline reply included.
+  ASSERT_TRUE(WaitForLoopIdle(admin_port));
+  EXPECT_EQ(LatencyCount(admin_port) - before,
+            static_cast<double>(queries.size() + 1));
 }
 
 TEST(AdminIntegrationTest, StatuszReportsDatasetAndServerState) {

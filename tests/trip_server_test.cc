@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -203,6 +204,108 @@ TEST(TripServerTest, CacheOnOffServesIdenticalBits) {
     EXPECT_TRUE(first->trips == ref->trips) << "query " << i;
     EXPECT_FALSE(first->trips.empty()) << "query " << i;
   }
+
+  server.RequestShutdown();
+  loop.join();
+}
+
+/// One admin-plane fetch; fails the test on transport errors.
+std::string AdminBody(uint16_t admin_port, const std::string& path,
+                      const std::string& method = "GET") {
+  auto fetched = HttpFetch("127.0.0.1", admin_port, path, method);
+  EXPECT_TRUE(fetched.ok()) << path << ": " << fetched.status().ToString();
+  return fetched.ok() ? fetched->body : std::string();
+}
+
+/// Value of one exported series, 0 while it has no sample yet.
+double MetricValue(uint16_t admin_port, const std::string& series) {
+  double v = 0.0;
+  promtext::FindValue(AdminBody(admin_port, "/metrics"), series, &v);
+  return v;
+}
+
+TEST(TripServerTest, ComputedTripCountsAsServerExecute) {
+  const RoadNetwork net = MakeNet();
+  auto db = MakeDb(net, 150, 22);
+  const auto queries = MakeQueries(*db, 1);
+
+  ServerOptions opts;
+  opts.port = 0;
+  opts.admin.port = 0;
+  opts.service.threads = 1;
+  UotsServer server(std::shared_ptr<const TrajectoryDatabase>(db), opts);
+  ASSERT_TRUE(server.Start().ok());
+  std::thread loop([&] { server.Run(); });
+  const uint16_t admin_port = server.admin_port();
+
+  // The registry is process-wide: diff around the one computed trip.
+  const double before =
+      MetricValue(admin_port, "uots_server_execute_seconds_count");
+  const double plans_before =
+      MetricValue(admin_port, "uots_trip_plan_seconds_count");
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  TripRequest req;
+  req.id = 1;
+  req.query = queries[0];
+  req.cache = CacheMode::kBypass;
+  auto resp = client.Call(req);
+  ASSERT_TRUE(resp.ok() && resp->ok()) << resp.status().ToString();
+
+  EXPECT_EQ(MetricValue(admin_port, "uots_server_execute_seconds_count") -
+                before,
+            1.0);
+  EXPECT_EQ(MetricValue(admin_port, "uots_trip_plan_seconds_count") -
+                plans_before,
+            1.0);
+
+  server.RequestShutdown();
+  loop.join();
+}
+
+TEST(TripServerTest, SampledTripSpansHaveTheServerExecuteRoot) {
+  const RoadNetwork net = MakeNet();
+  auto db = MakeDb(net, 150, 22);
+  const auto queries = MakeQueries(*db, 1);
+
+  ServerOptions opts;
+  opts.port = 0;
+  opts.admin.port = 0;
+  opts.service.threads = 1;
+  UotsServer server(std::shared_ptr<const TrajectoryDatabase>(db), opts);
+  ASSERT_TRUE(server.Start().ok());
+  std::thread loop([&] { server.Run(); });
+  const uint16_t admin_port = server.admin_port();
+  ASSERT_NE(AdminBody(admin_port, "/tracing?sample=1", "POST")
+                .find("\"sample_every\":1"),
+            std::string::npos);
+
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  TripRequest req;
+  req.id = 1;
+  req.request_id = "sampled-trip";
+  req.query = queries[0];
+  auto resp = client.Call(req);
+  ASSERT_TRUE(resp.ok() && resp->ok()) << resp.status().ToString();
+
+  auto root = ParseJson(AdminBody(admin_port, "/slowqueries"));
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  const JsonValue* entry = nullptr;
+  for (const JsonValue& e : root->Find("recent")->array_items()) {
+    if (e.Find("request_id")->string_value() == "sampled-trip") entry = &e;
+  }
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->Find("algorithm")->string_value(), "TRIP");
+#if UOTS_TRACE
+  bool saw_execute = false;
+  for (const JsonValue& s : entry->Find("spans")->array_items()) {
+    if (s.Find("name")->string_value() == "server_execute") saw_execute = true;
+  }
+  EXPECT_TRUE(saw_execute) << "server_execute root span missing";
+#else
+  EXPECT_TRUE(entry->Find("spans")->array_items().empty());
+#endif
 
   server.RequestShutdown();
   loop.join();

@@ -12,9 +12,10 @@
 // snapshot/text dataset path — binds the TCP front-end,
 // and serves length-prefixed JSON queries until SIGINT/SIGTERM, which
 // trigger a graceful drain: the listener closes, in-flight requests finish,
-// buffered responses flush, and the process exits 0 after printing the
-// metrics surface (server.request_latency / server.queue_wait /
-// server.execute percentiles plus the reactor counters).
+// buffered responses flush, and the process exits 0 after printing every
+// counter (read from its owner, as /metrics does) and the latency
+// histograms (server.request_latency / server.queue_wait / server.execute
+// percentiles).
 
 #include <sys/epoll.h>
 #include <sys/signalfd.h>
@@ -285,39 +286,29 @@ int main(int argc, char** argv) {
   server.Run();
   close(sig_fd);
 
+  std::printf("--- server counters ---\n");
   const uots::ServerCounters& c = server.counters();
-  std::printf(
-      "--- server counters ---\n"
-      "connections accepted=%lld closed=%lld rejected=%lld\n"
-      "requests=%lld ok=%lld overloaded=%lld shutting_down=%lld\n"
-      "deadline_exceeded=%lld parse_errors=%lld oversized=%lld internal=%lld\n",
-      static_cast<long long>(c.connections_accepted),
-      static_cast<long long>(c.connections_closed),
-      static_cast<long long>(c.connections_rejected),
-      static_cast<long long>(c.requests),
-      static_cast<long long>(c.responses_ok),
-      static_cast<long long>(c.rejected_overloaded),
-      static_cast<long long>(c.rejected_shutting_down),
-      static_cast<long long>(c.deadline_exceeded),
-      static_cast<long long>(c.parse_errors),
-      static_cast<long long>(c.oversized_frames),
-      static_cast<long long>(c.errors_internal));
-  if (c.ingest_requests > 0 || c.compactions > 0) {
-    std::printf(
-        "ingest: requests=%lld accepted_trips=%lld rejected_batches=%lld "
-        "compactions=%lld\n",
-        static_cast<long long>(c.ingest_requests),
-        static_cast<long long>(c.ingest_accepted_trips),
-        static_cast<long long>(c.ingest_rejected_batches),
-        static_cast<long long>(c.compactions));
+  for (const uots::ServerCounterField& f : uots::ServerCounterFields()) {
+    std::printf("%s=%lld\n", f.key, static_cast<long long>(c.*f.member));
   }
-  if (const uots::ResultCache* rc = server.service().result_cache()) {
+  const uots::Ingestor& ingest = server.ingestor();
+  std::printf(
+      "ingest: batches=%lld rejected_trips=%lld generation=%llu "
+      "delta_trajectories=%zu delta_bytes=%zu\n",
+      static_cast<long long>(ingest.batches_total()),
+      static_cast<long long>(ingest.rejected_total()),
+      static_cast<unsigned long long>(ingest.generation()),
+      ingest.delta_trajectories(), ingest.delta_bytes());
+  uots::UotsService& service = server.service();
+  std::printf("oracle: lookups=%lld pruned_candidates=%lld\n",
+              static_cast<long long>(service.oracle_lookups()),
+              static_cast<long long>(service.oracle_pruned_candidates()));
+  if (const uots::ResultCache* rc = service.result_cache()) {
     const uots::ResultCache::Stats s = rc->stats();
     std::printf(
-        "result cache: hits=%lld misses=%lld (served %lld) evictions=%lld "
-        "expired=%lld entries=%lld bytes=%lld\n",
+        "result cache: hits=%lld misses=%lld evictions=%lld expired=%lld "
+        "entries=%lld bytes=%lld\n",
         static_cast<long long>(s.hits), static_cast<long long>(s.misses),
-        static_cast<long long>(c.cache_hits),
         static_cast<long long>(s.evictions), static_cast<long long>(s.expired),
         static_cast<long long>(s.entries), static_cast<long long>(s.bytes));
   }
@@ -331,7 +322,6 @@ int main(int argc, char** argv) {
         static_cast<long long>(s.evictions), static_cast<long long>(s.entries),
         static_cast<long long>(s.bytes));
   }
-  server.service().PublishCacheMetrics();
   std::printf("--- metrics ---\n%s",
               uots::MetricsRegistry::Global().ToString().c_str());
   return 0;

@@ -1,9 +1,9 @@
 // Experiment M1 — substrate micro-benchmarks (google-benchmark).
 //
 // Costs of the primitives the search is built from: full Dijkstra,
-// incremental expansion steps, A* with Euclidean vs ALT heuristics,
-// keyword-index probes, and textual similarity. Useful for spotting
-// regressions and for the ALT ablation (A*/ALT settled-vertex reduction).
+// incremental expansion steps, A* with the Euclidean heuristic (the trip
+// generator's router), keyword-index probes, and textual similarity.
+// Useful for spotting regressions.
 
 #include <benchmark/benchmark.h>
 #include <unistd.h>
@@ -15,11 +15,9 @@
 #include "common/datasets.h"
 #include "common/report.h"
 #include "net/astar.h"
-#include "net/bidirectional.h"
 #include "net/dijkstra.h"
 #include "net/expansion.h"
 #include "net/generators.h"
-#include "net/landmarks.h"
 #include "text/inverted_index.h"
 #include "util/rng.h"
 #include "util/trace.h"
@@ -101,40 +99,6 @@ void BM_AStarEuclidean(benchmark::State& state) {
       static_cast<double>(settled) / state.iterations();
 }
 BENCHMARK(BM_AStarEuclidean)->Unit(benchmark::kMicrosecond);
-
-void BM_AStarALT(benchmark::State& state) {
-  const auto& g = Db().network();
-  static const LandmarkIndex* landmarks = new LandmarkIndex(g, 8);
-  AStarEngine astar(g);
-  Rng rng(3);  // same seed: same (s, t) pairs as the Euclidean variant
-  int64_t settled = 0;
-  for (auto _ : state) {
-    const VertexId s = static_cast<VertexId>(rng.Uniform(g.NumVertices()));
-    const VertexId t = static_cast<VertexId>(rng.Uniform(g.NumVertices()));
-    const PathResult r = astar.FindPath(s, t, landmarks->HeuristicFor(t));
-    settled += r.settled;
-    benchmark::DoNotOptimize(r.distance);
-  }
-  state.counters["settled/query"] =
-      static_cast<double>(settled) / state.iterations();
-}
-BENCHMARK(BM_AStarALT)->Unit(benchmark::kMicrosecond);
-
-void BM_BidirectionalDijkstra(benchmark::State& state) {
-  const auto& g = Db().network();
-  BidirectionalDijkstra bidir(g);
-  Rng rng(3);  // same pairs as the A* benchmarks
-  int64_t settled = 0;
-  for (auto _ : state) {
-    const VertexId s = static_cast<VertexId>(rng.Uniform(g.NumVertices()));
-    const VertexId t = static_cast<VertexId>(rng.Uniform(g.NumVertices()));
-    benchmark::DoNotOptimize(bidir.Distance(s, t));
-    settled += bidir.last_settled();
-  }
-  state.counters["settled/query"] =
-      static_cast<double>(settled) / state.iterations();
-}
-BENCHMARK(BM_BidirectionalDijkstra)->Unit(benchmark::kMicrosecond);
 
 void BM_KeywordIndexProbe(benchmark::State& state) {
   const auto& db = Db();

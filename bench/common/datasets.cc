@@ -1,8 +1,14 @@
 #include "common/datasets.h"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <sys/stat.h>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "net/generators.h"
 #include "net/io.h"
@@ -25,6 +31,43 @@ bool FileExists(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0;
 }
+
+/// A unique temp name next to `path` (the snapshot writer's idiom): two
+/// processes filling the same cache never write into one file.
+std::string TempPathFor(const std::string& path) {
+  static std::atomic<uint64_t> seq{0};
+  return path + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(seq.fetch_add(1));
+}
+
+/// Cache files written under temp names, renamed into place by Publish().
+class StagedFiles {
+ public:
+  /// Records the outcome of writing `path`'s contents to `tmp`.
+  void Add(const Status& written, const std::string& tmp,
+           const std::string& path) {
+    if (written.ok()) {
+      files_.emplace_back(tmp, path);
+      return;
+    }
+    std::remove(tmp.c_str());
+    std::fprintf(stderr, "warning: cannot write cache %s\n", path.c_str());
+  }
+
+  void Publish() {
+    for (const auto& [tmp, path] : files_) {
+      if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        std::fprintf(stderr, "warning: cannot publish cache %s\n",
+                     path.c_str());
+      }
+    }
+    files_.clear();
+  }
+
+ private:
+  std::vector<std::pair<std::string, std::string>> files_;  // (tmp, path)
+};
 
 RoadNetwork BuildNetwork(City city) {
   if (city == City::kBRN) {
@@ -127,6 +170,13 @@ std::unique_ptr<TrajectoryDatabase> LoadCity(City city, int num_trajectories) {
                  snap.status().ToString().c_str());
   }
 
+  // Every cache file appears whole or not at all (temp name + rename), and
+  // the text files appear only after the snapshot. A concurrent LoadCity of
+  // the same (city, n) thus finds the finished snapshot or no cache at all;
+  // it never parses a half-written text file, nor the 3-decimal text
+  // rounding of a network this process generated exactly. With no cache
+  // it generates the identical data itself.
+  StagedFiles staged;
   RoadNetwork network = [&] {
     if (FileExists(net_path)) {
       auto g = LoadNetwork(net_path);
@@ -135,10 +185,8 @@ std::unique_ptr<TrajectoryDatabase> LoadCity(City city, int num_trajectories) {
                    g.status().ToString().c_str());
     }
     RoadNetwork g = BuildNetwork(city);
-    if (!SaveNetwork(g, net_path).ok()) {
-      std::fprintf(stderr, "warning: cannot write cache %s\n",
-                   net_path.c_str());
-    }
+    const std::string tmp = TempPathFor(net_path);
+    staged.Add(SaveNetwork(g, tmp), tmp, net_path);
     return g;
   }();
 
@@ -150,10 +198,8 @@ std::unique_ptr<TrajectoryDatabase> LoadCity(City city, int num_trajectories) {
                    s.status().ToString().c_str());
     }
     TrajectoryStore s = BuildTrips(network, city);
-    if (!SaveTrajectories(s, traj_path).ok()) {
-      std::fprintf(stderr, "warning: cannot write cache %s\n",
-                   traj_path.c_str());
-    }
+    const std::string tmp = TempPathFor(traj_path);
+    staged.Add(SaveTrajectories(s, tmp), tmp, traj_path);
     return s;
   }();
 
@@ -170,6 +216,7 @@ std::unique_ptr<TrajectoryDatabase> LoadCity(City city, int num_trajectories) {
                    snap_path.c_str(), st.ToString().c_str());
     }
   }
+  staged.Publish();
   return db;
 }
 

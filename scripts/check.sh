@@ -18,12 +18,18 @@ if [[ $# -eq 0 ]]; then presets=(release asan trace-off tsan); fi
 
 declare -A builddir=([release]=build [asan]=build-asan
                      [trace-off]=build-trace-off [tsan]=build-tsan)
-# The ThreadSanitizer pass: the server, trip-server, cache and ingest tests,
-# which race worker completions against the reactor, cache hits against
-# inserts, and compaction swaps against live queries. (The rest of the
-# suite is not yet swept under TSan.)
+# The ThreadSanitizer pass: every test that runs more than one thread. The
+# server, trip-server, cache and ingest tests race worker completions
+# against the reactor, cache hits against inserts, and compaction swaps
+# against live queries; the batch, thread-pool, trace, util, fuzz and
+# threshold-pairs tests run engines and spans on pool workers; the
+# inverted-index test holds the threaded regression test for the shared
+# keyword-scoring scratch race. The rest of the suite is single-threaded.
 tsan_tests=(uots_server_integration_test uots_trip_server_test
-            uots_cache_test uots_ingest_test)
+            uots_cache_test uots_ingest_test uots_batch_abort_test
+            uots_batch_workload_test uots_inverted_index_test
+            uots_thread_pool_test uots_trace_test uots_util_test
+            uots_fuzz_consistency_test uots_threshold_pairs_test)
 # Output checks read the whole stream (`grep ... >/dev/null`, not `grep -q`):
 # under pipefail, `grep -q` exiting at its first match makes a writer still
 # sending (curl) fail with EPIPE, which fails the step although the match
@@ -111,6 +117,27 @@ for preset in "${presets[@]}"; do
         --json-out="${builddir[release]}/check-bench-trip.json"
       rm -f "${builddir[release]}/check-oracle.json" \
         "${builddir[release]}/check-bench-trip.json"
+      # Cold dataset cache drill: two builds of one city started 2 s apart
+      # on the same empty cache dir must load the same dataset. Cache files
+      # appear whole (temp name + rename) and the text files only after the
+      # snapshot, so the second build finds the finished snapshot or no
+      # cache at all — never a half-written or rounded text file.
+      echo "==> release: cold dataset cache drill"
+      cold="$(mktemp -d)"
+      UOTS_BENCH_CACHE_DIR="${cold}" "${builddir[release]}/apps/uots_snapshot" \
+        build --city=BRN --trajectories=1500 --out="${cold}/first.snap" \
+        > "${cold}/first.txt" &
+      first_pid=$!
+      sleep 2
+      UOTS_BENCH_CACHE_DIR="${cold}" "${builddir[release]}/apps/uots_snapshot" \
+        build --city=BRN --trajectories=1500 --out="${cold}/second.snap" \
+        > "${cold}/second.txt"
+      wait "${first_pid}"
+      fp_first=$(grep -o "fingerprint [0-9a-f]*" "${cold}/first.txt")
+      fp_second=$(grep -o "fingerprint [0-9a-f]*" "${cold}/second.txt")
+      echo "first build: ${fp_first}; second build: ${fp_second}"
+      [[ -n "${fp_first}" && "${fp_first}" == "${fp_second}" ]]
+      rm -rf "${cold}"
     fi
     # Admin-plane drill: serve a generated city with the admin listener on,
     # drive a closed loop that also scrapes server-side quantiles, then hit

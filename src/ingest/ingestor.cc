@@ -96,7 +96,6 @@ Result<Ingestor::ApplyResult> Ingestor::Apply(std::vector<Trajectory> trips) {
     seen_.insert(TrajectoryContentHash(t));
     pending_.push_back(std::move(t));
   }
-  accepted_total_ += static_cast<int64_t>(trips.size());
   ++batches_total_;
   Publish();
 

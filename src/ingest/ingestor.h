@@ -2,7 +2,7 @@
 //
 // Owns everything mutable about the delta layer: the accumulated trip
 // list, the duplicate-content filter, the generation counter, and the
-// accept/reject tallies. Single-writer by design: the server calls every
+// batch/reject tallies. Single-writer by design: the server calls every
 // method from its reactor thread (queries never touch the Ingestor; they
 // read the sealed DeltaIndex the Ingestor publishes), so none of this
 // needs a lock.
@@ -71,7 +71,6 @@ class Ingestor {
   size_t delta_bytes() const { return delta_ ? delta_->MemoryUsage() : 0; }
   size_t delta_trajectories() const { return pending_.size(); }
 
-  int64_t accepted_total() const { return accepted_total_; }
   int64_t rejected_total() const { return rejected_total_; }
   int64_t batches_total() const { return batches_total_; }
 
@@ -89,7 +88,6 @@ class Ingestor {
   std::unordered_set<uint64_t> seen_;
   std::shared_ptr<const DeltaIndex> delta_;
   uint64_t generation_ = 0;
-  int64_t accepted_total_ = 0;
   int64_t rejected_total_ = 0;
   int64_t batches_total_ = 0;
 };

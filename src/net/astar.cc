@@ -21,10 +21,6 @@ PathResult AStarEngine::FindPath(VertexId s, VertexId t) {
       /*want_path=*/true);
 }
 
-PathResult AStarEngine::FindPath(VertexId s, VertexId t, const Heuristic& h) {
-  return Run(s, t, h, /*want_path=*/true);
-}
-
 double AStarEngine::Distance(VertexId s, VertexId t) {
   const Point goal = g_->PositionOf(t);
   return Run(

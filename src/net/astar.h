@@ -3,8 +3,8 @@
 // Used by the trip generator (many point-to-point route computations) and by
 // the substrate micro-benchmarks. Edge weights in generated networks are the
 // Euclidean lengths of their segments, so straight-line distance is an
-// admissible and consistent heuristic; ALT landmark bounds (landmarks.h)
-// tighten it further.
+// admissible and consistent heuristic. (Serving-time point-to-point
+// distances come from the CH oracle, src/oracle.)
 
 #ifndef UOTS_NET_ASTAR_H_
 #define UOTS_NET_ASTAR_H_
@@ -34,9 +34,6 @@ class AStarEngine {
 
   /// Shortest path with the Euclidean heuristic.
   PathResult FindPath(VertexId s, VertexId t);
-
-  /// Shortest path with a caller-provided admissible heuristic for t.
-  PathResult FindPath(VertexId s, VertexId t, const Heuristic& h);
 
   /// Distance only (skips path extraction).
   double Distance(VertexId s, VertexId t);

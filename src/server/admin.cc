@@ -133,19 +133,12 @@ void AppendHistogramFamily(std::string* out, const std::string& base,
   }
 }
 
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-void AppendCounter(std::string* out, const std::string& mangled,
-                   int64_t value) {
-  const std::string series = mangled + "_total";
+void AppendCounter(std::string* out, std::string_view series, int64_t value) {
   out->append("# TYPE ").append(series).append(" counter\n");
   AppendIntSample(out, series, value);
 }
 
-void AppendGauge(std::string* out, const std::string& series, double value) {
+void AppendGauge(std::string* out, std::string_view series, double value) {
   out->append("# TYPE ").append(series).append(" gauge\n");
   AppendSample(out, series, value);
 }
@@ -511,52 +504,43 @@ std::string AdminPlane::RenderHealthz(int* status) const {
 }
 
 std::string AdminPlane::RenderMetrics() const {
-  // Publish before reading so cache/oracle counters are scrape-fresh.
-  server_->service().PublishCacheMetrics();
-  server_->PublishIngestMetrics();
-
-  auto& reg = MetricsRegistry::Global();
   std::string out;
   out.reserve(8192);
-
-  for (const auto& [name, snap] : reg.SnapshotAll()) {
+  for (const auto& [name, snap] : MetricsRegistry::Global().SnapshotAll()) {
     AppendHistogramFamily(&out, "uots_" + promtext::MangleMetricName(name),
                           snap);
   }
-  for (const auto& [name, value] : reg.CounterSnapshot()) {
-    const std::string mangled = "uots_" + promtext::MangleMetricName(name);
-    if (EndsWith(name, ".bytes")) {
-      AppendGauge(&out, mangled, static_cast<double>(value));
-    } else {
-      AppendCounter(&out, mangled, value);
-    }
-  }
 
+  // Counters and gauges: read from the objects that own them, at render time.
   const ServerCounters& c = server_->counters();
-  AppendCounter(&out, "uots_server_connections_accepted",
-                c.connections_accepted);
-  AppendCounter(&out, "uots_server_connections_closed", c.connections_closed);
-  AppendCounter(&out, "uots_server_connections_rejected",
-                c.connections_rejected);
-  AppendCounter(&out, "uots_server_requests", c.requests);
-  AppendCounter(&out, "uots_server_trip_requests", c.trip_requests);
-  AppendCounter(&out, "uots_server_responses_ok", c.responses_ok);
-  AppendCounter(&out, "uots_server_request_cache_hits", c.cache_hits);
-  AppendCounter(&out, "uots_server_rejected_overloaded",
-                c.rejected_overloaded);
-  AppendCounter(&out, "uots_server_rejected_shutting_down",
-                c.rejected_shutting_down);
-  AppendCounter(&out, "uots_server_deadline_exceeded", c.deadline_exceeded);
-  AppendCounter(&out, "uots_server_parse_errors", c.parse_errors);
-  AppendCounter(&out, "uots_server_oversized_frames", c.oversized_frames);
-  AppendCounter(&out, "uots_server_errors_internal", c.errors_internal);
-  AppendCounter(&out, "uots_server_ingest_requests", c.ingest_requests);
-  AppendCounter(&out, "uots_server_ingest_accepted_trips",
-                c.ingest_accepted_trips);
-  AppendCounter(&out, "uots_server_ingest_rejected_batches",
-                c.ingest_rejected_batches);
-  AppendCounter(&out, "uots_server_compactions", c.compactions);
-  AppendCounter(&out, "uots_server_slowlog_entries", slowlog_.added());
+  for (const ServerCounterField& f : ServerCounterFields()) {
+    AppendCounter(&out, f.series, c.*f.member);
+  }
+  AppendCounter(&out, "uots_server_slowlog_entries_total", slowlog_.added());
+  UotsService& service = server_->service();
+  AppendCounter(&out, "uots_server_oracle_lookups_total",
+                service.oracle_lookups());
+  AppendCounter(&out, "uots_server_oracle_pruned_candidates_total",
+                service.oracle_pruned_candidates());
+  if (const ResultCache* cache = service.result_cache()) {
+    const ResultCache::Stats s = cache->stats();
+    AppendCounter(&out, "uots_server_cache_hits_total", s.hits);
+    AppendCounter(&out, "uots_server_cache_misses_total", s.misses);
+    AppendCounter(&out, "uots_server_cache_evictions_total",
+                  s.evictions + s.expired);
+    AppendGauge(&out, "uots_server_cache_bytes", static_cast<double>(s.bytes));
+  }
+  const Ingestor& ingest = server_->ingestor();
+  AppendCounter(&out, "uots_server_ingest_rejected_total",
+                ingest.rejected_total());
+  AppendCounter(&out, "uots_server_ingest_batches_total",
+                ingest.batches_total());
+  AppendCounter(&out, "uots_server_ingest_generation_total",
+                static_cast<int64_t>(ingest.generation()));
+  AppendGauge(&out, "uots_server_ingest_delta_trajectories",
+              static_cast<double>(ingest.delta_trajectories()));
+  AppendGauge(&out, "uots_server_ingest_delta_bytes",
+              static_cast<double>(ingest.delta_bytes()));
 
   AppendGauge(&out, "uots_server_uptime_seconds",
               static_cast<double>(EventLoop::NowNs() -
@@ -569,7 +553,7 @@ std::string AdminPlane::RenderMetrics() const {
   AppendGauge(&out, "uots_server_inflight_requests",
               static_cast<double>(server_->loop_inflight()));
   AppendGauge(&out, "uots_server_executor_queue_depth",
-              static_cast<double>(server_->service().inflight()));
+              static_cast<double>(service.inflight()));
   AppendGauge(&out, "uots_server_draining",
               server_->draining() ? 1.0 : 0.0);
   AppendGauge(&out, "uots_server_trace_sample_every",
@@ -664,26 +648,9 @@ std::string AdminPlane::RenderStatusz() const {
 
   const ServerCounters& c = server_->counters();
   JsonValue counters = JsonValue::Object();
-  counters.Set("connections_accepted", JsonValue::Int(c.connections_accepted));
-  counters.Set("connections_closed", JsonValue::Int(c.connections_closed));
-  counters.Set("connections_rejected", JsonValue::Int(c.connections_rejected));
-  counters.Set("requests", JsonValue::Int(c.requests));
-  counters.Set("trip_requests", JsonValue::Int(c.trip_requests));
-  counters.Set("responses_ok", JsonValue::Int(c.responses_ok));
-  counters.Set("cache_hits", JsonValue::Int(c.cache_hits));
-  counters.Set("rejected_overloaded", JsonValue::Int(c.rejected_overloaded));
-  counters.Set("rejected_shutting_down",
-               JsonValue::Int(c.rejected_shutting_down));
-  counters.Set("deadline_exceeded", JsonValue::Int(c.deadline_exceeded));
-  counters.Set("parse_errors", JsonValue::Int(c.parse_errors));
-  counters.Set("oversized_frames", JsonValue::Int(c.oversized_frames));
-  counters.Set("errors_internal", JsonValue::Int(c.errors_internal));
-  counters.Set("ingest_requests", JsonValue::Int(c.ingest_requests));
-  counters.Set("ingest_accepted_trips",
-               JsonValue::Int(c.ingest_accepted_trips));
-  counters.Set("ingest_rejected_batches",
-               JsonValue::Int(c.ingest_rejected_batches));
-  counters.Set("compactions", JsonValue::Int(c.compactions));
+  for (const ServerCounterField& f : ServerCounterFields()) {
+    counters.Set(f.key, JsonValue::Int(c.*f.member));
+  }
   root.Set("counters", std::move(counters));
 
   JsonValue slow = JsonValue::Object();

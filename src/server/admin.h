@@ -9,11 +9,12 @@
 // measurable — see EXPERIMENTS.md M4.
 //
 // Endpoints (HTTP/1.0, one request per connection, Connection: close):
-//   GET  /metrics      Prometheus text: every MetricsRegistry counter and
-//                      histogram (quantiles + cumulative buckets), the
-//                      reactor's ServerCounters, and liveness gauges.
-//                      Cache/oracle counters are published at scrape time,
-//                      so values are always current.
+//   GET  /metrics      Prometheus text: every MetricsRegistry histogram
+//                      (quantiles + cumulative buckets), then counters and
+//                      gauges read from their owners as the page renders:
+//                      the reactor's ServerCounters (ServerCounterFields),
+//                      the service's oracle totals, the result cache's
+//                      stats, the ingestor's tallies, and liveness gauges.
 //   GET  /statusz      JSON: uptime, build info, dataset fingerprint and
 //                      shape, oracle/snapshot presence, live connection
 //                      count, executor queue depth, in-flight requests.

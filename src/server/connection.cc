@@ -25,7 +25,6 @@ Connection::IoResult Connection::ReadAvailable() {
   for (;;) {
     const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n > 0) {
-      stats_.bytes_in += n;
       decoder_.Append(buf, static_cast<size_t>(n));
       if (static_cast<size_t>(n) < sizeof(buf)) return IoResult::kOk;
       continue;  // possibly more queued
@@ -47,7 +46,6 @@ void Connection::QueueFrame(std::string_view payload) {
     out_offset_ = 0;
   }
   AppendFrame(payload, &out_);
-  ++stats_.frames_out;
 }
 
 void Connection::QueueResponse(uint64_t seq, std::string body) {
@@ -69,7 +67,6 @@ Connection::IoResult Connection::Flush() {
     const ssize_t n = ::send(fd_, out_.data() + out_offset_,
                              out_.size() - out_offset_, MSG_NOSIGNAL);
     if (n > 0) {
-      stats_.bytes_out += n;
       out_offset_ += static_cast<size_t>(n);
       continue;
     }

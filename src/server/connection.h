@@ -25,15 +25,6 @@
 
 namespace uots {
 
-/// \brief Lifetime counters for one connection (reported at close/shutdown).
-struct ConnectionStats {
-  int64_t bytes_in = 0;
-  int64_t bytes_out = 0;
-  int64_t frames_in = 0;
-  int64_t frames_out = 0;
-  int64_t protocol_errors = 0;  ///< malformed JSON / oversized frames
-};
-
 /// \brief One accepted client connection (single-threaded use).
 class Connection {
  public:
@@ -77,9 +68,6 @@ class Connection {
   /// Closes the fd early (destructor is a no-op afterwards).
   void Close();
 
-  ConnectionStats& stats() { return stats_; }
-  const ConnectionStats& stats() const { return stats_; }
-
   // --- fields owned by the server's orchestration (not by this class) ---
   TimerHeap::TimerId idle_timer = TimerHeap::kInvalidTimer;
   int inflight = 0;          ///< requests admitted and not yet responded
@@ -97,7 +85,6 @@ class Connection {
   uint64_t next_read_seq_ = 0;   ///< sequence number of the next frame read
   uint64_t next_write_seq_ = 0;  ///< frame whose response is queued next
   std::map<uint64_t, std::string> parked_;  ///< early responses, by seq
-  ConnectionStats stats_;
 };
 
 }  // namespace uots

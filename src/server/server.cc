@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -85,7 +86,52 @@ std::string EncodeResponse(const IngestResponse& r) {
   return EncodeIngestResponse(r);
 }
 
+constexpr ServerCounterField kCounterFields[] = {
+    {"connections_accepted", "uots_server_connections_accepted_total",
+     &ServerCounters::connections_accepted},
+    {"connections_closed", "uots_server_connections_closed_total",
+     &ServerCounters::connections_closed},
+    {"connections_rejected", "uots_server_connections_rejected_total",
+     &ServerCounters::connections_rejected},
+    {"requests", "uots_server_requests_total", &ServerCounters::requests},
+    {"trip_requests", "uots_server_trip_requests_total",
+     &ServerCounters::trip_requests},
+    {"responses_ok", "uots_server_responses_ok_total",
+     &ServerCounters::responses_ok},
+    {"cache_hits", "uots_server_request_cache_hits_total",
+     &ServerCounters::cache_hits},
+    {"rejected_overloaded", "uots_server_rejected_overloaded_total",
+     &ServerCounters::rejected_overloaded},
+    {"rejected_shutting_down", "uots_server_rejected_shutting_down_total",
+     &ServerCounters::rejected_shutting_down},
+    {"deadline_exceeded", "uots_server_deadline_exceeded_total",
+     &ServerCounters::deadline_exceeded},
+    {"parse_errors", "uots_server_parse_errors_total",
+     &ServerCounters::parse_errors},
+    {"oversized_frames", "uots_server_oversized_frames_total",
+     &ServerCounters::oversized_frames},
+    {"errors_internal", "uots_server_errors_internal_total",
+     &ServerCounters::errors_internal},
+    {"ingest_requests", "uots_server_ingest_requests_total",
+     &ServerCounters::ingest_requests},
+    {"ingest_accepted_trips", "uots_server_ingest_accepted_trips_total",
+     &ServerCounters::ingest_accepted_trips},
+    {"ingest_rejected_batches", "uots_server_ingest_rejected_batches_total",
+     &ServerCounters::ingest_rejected_batches},
+    {"compactions", "uots_server_compactions_total",
+     &ServerCounters::compactions},
+    {"compact_failures", "uots_server_ingest_compact_failures_total",
+     &ServerCounters::compact_failures},
+};
+static_assert(std::size(kCounterFields) * sizeof(int64_t) ==
+                  sizeof(ServerCounters),
+              "every ServerCounters member needs a kCounterFields row");
+
 }  // namespace
+
+std::span<const ServerCounterField> ServerCounterFields() {
+  return kCounterFields;
+}
 
 UotsServer::UotsServer(std::shared_ptr<const TrajectoryDatabase> db,
                        const ServerOptions& opts)
@@ -145,12 +191,6 @@ Status UotsServer::Start() {
     admin_ = std::make_unique<AdminPlane>(this, opts_.admin);
     UOTS_RETURN_NOT_OK(admin_->Start());
   }
-  if (opts_.metrics_publish_interval_ms > 0.0) {
-    // Self-rearming publish tick: exported cache/oracle counters stay fresh
-    // even when nobody scrapes (they used to appear only at shutdown).
-    metrics_timer_ = loop_.AddTimerAfterMs(opts_.metrics_publish_interval_ms,
-                                           [this] { RequeueMetricsTimer(); });
-  }
   if (!opts_.compact_snapshot_path.empty() && opts_.compact_interval_ms > 0.0) {
     compact_timer_ = loop_.AddTimerAfterMs(opts_.compact_interval_ms, [this] {
       RequeueCompactionTimer();
@@ -168,26 +208,6 @@ void UotsServer::RequeueCompactionTimer() {
   compact_timer_ = loop_.AddTimerAfterMs(opts_.compact_interval_ms, [this] {
     RequeueCompactionTimer();
   });
-}
-
-void UotsServer::RequeueMetricsTimer() {
-  service_->PublishCacheMetrics();
-  PublishIngestMetrics();
-  metrics_timer_ = loop_.AddTimerAfterMs(opts_.metrics_publish_interval_ms,
-                                         [this] { RequeueMetricsTimer(); });
-}
-
-void UotsServer::PublishIngestMetrics() const {
-  auto& reg = MetricsRegistry::Global();
-  reg.SetCounter("server.ingest.accepted", ingestor_.accepted_total());
-  reg.SetCounter("server.ingest.rejected", ingestor_.rejected_total());
-  reg.SetCounter("server.ingest.batches", ingestor_.batches_total());
-  reg.SetCounter("server.ingest.delta_trajectories",
-                 static_cast<int64_t>(ingestor_.delta_trajectories()));
-  reg.SetCounter("server.ingest.delta_bytes",
-                 static_cast<int64_t>(ingestor_.delta_bytes()));
-  reg.SetCounter("server.ingest.generation",
-                 static_cast<int64_t>(ingestor_.generation()));
 }
 
 void UotsServer::Run() { loop_.Run(); }
@@ -329,7 +349,6 @@ void UotsServer::OnConnEvent(uint64_t conn_id, uint32_t events) {
       const uint64_t seq = conn->NextRequestSeq();
       if (next == FrameDecoder::Next::kOversized) {
         ++counters_.oversized_frames;
-        ++conn->stats().protocol_errors;
         SendError(conn, seq, 0, GenerateRequestId(conn_id),
                   ResponseStatus::kParseError,
                   "frame exceeds maximum size (" +
@@ -338,7 +357,6 @@ void UotsServer::OnConnEvent(uint64_t conn_id, uint32_t events) {
         if (conns_.find(conn_id) == conns_.end()) return;
         continue;
       }
-      ++conn->stats().frames_in;
       HandleFrame(conn, seq, payload);
       // HandleFrame may have closed the connection (write failure).
       if (conns_.find(conn_id) == conns_.end()) return;
@@ -365,7 +383,6 @@ void UotsServer::HandleFrame(Connection* conn, uint64_t seq,
   }();
   if (!doc.ok() || !doc->is_object()) {
     ++counters_.parse_errors;
-    ++conn->stats().protocol_errors;
     SendError(conn, seq, 0, GenerateRequestId(conn->id()),
               ResponseStatus::kParseError,
               doc.ok() ? "request must be an object"
@@ -381,7 +398,6 @@ void UotsServer::HandleFrame(Connection* conn, uint64_t seq,
       return;
     case RequestType::kUnknown: {
       ++counters_.parse_errors;
-      ++conn->stats().protocol_errors;
       const JsonValue* type = doc->Find("type");
       SendError(conn, seq, 0, GenerateRequestId(conn->id()),
                 ResponseStatus::kParseError,
@@ -404,7 +420,6 @@ void UotsServer::HandleIngest(Connection* conn, uint64_t seq,
   if (!parsed.ok()) {
     ++counters_.parse_errors;
     ++counters_.ingest_rejected_batches;
-    ++conn->stats().protocol_errors;
     SendError(conn, seq, 0, GenerateRequestId(conn->id()),
               ResponseStatus::kParseError, parsed.status().message());
     return;
@@ -464,7 +479,6 @@ void UotsServer::HandleRequest(Connection* conn, uint64_t seq,
   Result<typename Kind::Request> parsed = Kind::Parse(doc);
   if (!parsed.ok()) {
     ++counters_.parse_errors;
-    ++conn->stats().protocol_errors;
     SendError(conn, seq, 0, GenerateRequestId(conn->id()),
               ResponseStatus::kParseError, parsed.status().message());
     return;
@@ -667,9 +681,8 @@ UotsServer::CompactionOutcome UotsServer::BuildCompactedSnapshot(
 void UotsServer::FinishCompaction(CompactionOutcome outcome) {
   if (compact_thread_.joinable()) compact_thread_.join();
   compacting_ = false;
-  auto& reg = MetricsRegistry::Global();
   if (!outcome.status.ok()) {
-    reg.AddCounter("server.ingest.compact_failures", 1);
+    ++counters_.compact_failures;
     std::fprintf(stderr, "compaction failed: %s\n",
                  outcome.status.ToString().c_str());
     MaybeFinishShutdown();  // a drain may have been waiting on us
@@ -692,9 +705,9 @@ void UotsServer::FinishCompaction(CompactionOutcome outcome) {
   }
   ++counters_.compactions;
   last_compaction_ms_ = outcome.build_ms;
-  reg.AddCounter("server.ingest.compactions", 1);
-  reg.Record("server.ingest.compact_build",
-             static_cast<int64_t>(outcome.build_ms * 1e6));
+  MetricsRegistry::Global().Record(
+      "server.ingest.compact_build",
+      static_cast<int64_t>(outcome.build_ms * 1e6));
   MaybeFinishShutdown();
 }
 
@@ -888,22 +901,14 @@ void UotsServer::FinishShutdown() {
     if (out.status.ok()) {
       ++counters_.compactions;
       last_compaction_ms_ = out.build_ms;
-      MetricsRegistry::Global().AddCounter("server.ingest.compactions", 1);
     } else {
-      MetricsRegistry::Global().AddCounter("server.ingest.compact_failures",
-                                           1);
+      ++counters_.compact_failures;
       std::fprintf(stderr, "shutdown compaction failed: %s\n",
                    out.status.ToString().c_str());
     }
   }
-  // Export the final counter values, tear the admin plane's fds out of the
-  // loop while the loop still exists, and stop.
-  PublishIngestMetrics();
-  service_->PublishCacheMetrics();
-  if (metrics_timer_ != TimerHeap::kInvalidTimer) {
-    loop_.CancelTimer(metrics_timer_);
-    metrics_timer_ = TimerHeap::kInvalidTimer;
-  }
+  // Tear the admin plane's fds out of the loop while the loop still exists,
+  // and stop.
   if (admin_ != nullptr) admin_->Shutdown();
   loop_.Stop();
 }

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 
@@ -61,10 +62,6 @@ struct ServerOptions {
   ServiceOptions service;
   /// Admin/introspection listener; admin.port = -1 (default) disables it.
   AdminOptions admin;
-  /// Cache/oracle counters are re-published into MetricsRegistry on this
-  /// loop-timer period (plus at every /metrics scrape); 0 disables the
-  /// timer. Keeps exported values fresh even with no scraper attached.
-  double metrics_publish_interval_ms = 1000.0;
   /// Human-readable dataset provenance shown in /statusz (snapshot path,
   /// city file, "synthetic", ...).
   std::string dataset_source;
@@ -80,7 +77,7 @@ struct ServerOptions {
 };
 
 /// \brief Reactor-facing counters, readable after Run() returns (or from
-/// the loop thread).
+/// the loop thread). ServerCounterFields() lists every one.
 struct ServerCounters {
   int64_t connections_accepted = 0;
   int64_t connections_closed = 0;
@@ -99,7 +96,20 @@ struct ServerCounters {
   int64_t ingest_accepted_trips = 0;    ///< trajectories ingested
   int64_t ingest_rejected_batches = 0;  ///< batches refused (atomic: 0 trips)
   int64_t compactions = 0;              ///< delta folds swapped in live
+  int64_t compact_failures = 0;         ///< folds that failed to write or load
 };
+
+/// \brief One ServerCounters tally: its /statusz "counters" key (also the
+/// exit report's label) and its /metrics counter series.
+struct ServerCounterField {
+  const char* key;
+  const char* series;
+  int64_t ServerCounters::*member;
+};
+
+/// Every ServerCounters tally, in /statusz order: the one list /metrics,
+/// /statusz and uots_server's exit report read the counters through.
+std::span<const ServerCounterField> ServerCounterFields();
 
 /// \brief TCP front-end over a TrajectoryDatabase.
 class UotsServer {
@@ -221,10 +231,6 @@ class UotsServer {
   /// failure) and release the single-compaction latch.
   void FinishCompaction(CompactionOutcome outcome);
   void RequeueCompactionTimer();
-  /// Copies ingest-side tallies into MetricsRegistry::Global() under
-  /// server.ingest.* (loop thread; the admin plane triggers it per scrape
-  /// via the metrics timer's published values).
-  void PublishIngestMetrics() const;
   void OnDeadline(const std::shared_ptr<RequestCtx>& ctx);
   template <typename Kind>
   void OnComplete(const std::shared_ptr<RequestCtx>& ctx,
@@ -245,7 +251,6 @@ class UotsServer {
   void BeginShutdown();
   void MaybeFinishShutdown();
   void FinishShutdown();
-  void RequeueMetricsTimer();
   /// Fresh server-generated request id ("s<conn>-<seq>").
   std::string GenerateRequestId(uint64_t conn_id);
   /// Appends one completed request to the slow-query log (admin on only).
@@ -279,7 +284,6 @@ class UotsServer {
   bool draining_ = false;
   bool stop_requested_ = false;
   TimerHeap::TimerId drain_fuse_ = TimerHeap::kInvalidTimer;
-  TimerHeap::TimerId metrics_timer_ = TimerHeap::kInvalidTimer;
   ServerCounters counters_;
   int64_t start_unix_ms_ = 0;
   int64_t start_steady_ns_ = 0;

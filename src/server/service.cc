@@ -145,20 +145,6 @@ std::shared_ptr<const CachedResult> UotsService::CacheLookup(
   return hit;
 }
 
-void UotsService::PublishCacheMetrics() const {
-  auto& reg = MetricsRegistry::Global();
-  reg.SetCounter("server.oracle.lookups",
-                 oracle_lookups_total_.load(std::memory_order_relaxed));
-  reg.SetCounter("server.oracle.pruned_candidates",
-                 oracle_pruned_total_.load(std::memory_order_relaxed));
-  if (result_cache_ == nullptr) return;
-  const ResultCache::Stats s = result_cache_->stats();
-  reg.SetCounter("server.cache.hits", s.hits);
-  reg.SetCounter("server.cache.misses", s.misses);
-  reg.SetCounter("server.cache.evictions", s.evictions + s.expired);
-  reg.SetCounter("server.cache.bytes", s.bytes);
-}
-
 template <typename Kind>
 bool UotsService::TryExecute(const typename Kind::Query& query,
                              typename Kind::Variant variant,

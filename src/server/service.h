@@ -152,14 +152,14 @@ class UotsService {
   /// The result cache, or null when ServiceOptions disabled it.
   ResultCache* result_cache() { return result_cache_.get(); }
 
-  /// Copies cache counters into MetricsRegistry::Global() under
-  /// server.cache.{hits,misses,evictions,bytes}, plus lifetime distance-
-  /// oracle totals under server.oracle.{lookups,pruned_candidates}. The
-  /// admin plane calls this at every /metrics scrape and the server calls
-  /// it on a periodic loop timer, so the exported values are never staler
-  /// than one publish interval (they used to be exported only at
-  /// shutdown).
-  void PublishCacheMetrics() const;
+  /// Lifetime sums of QueryStats::oracle_lookups and
+  /// QueryStats::oracle_pruned_candidates over every computed request.
+  int64_t oracle_lookups() const {
+    return oracle_lookups_total_.load(std::memory_order_relaxed);
+  }
+  int64_t oracle_pruned_candidates() const {
+    return oracle_pruned_total_.load(std::memory_order_relaxed);
+  }
 
   /// Requests currently admitted (queued + executing).
   size_t inflight() const {
@@ -247,7 +247,7 @@ class UotsService {
   std::atomic<bool> shutting_down_{false};
 
   /// Lifetime totals of the per-query oracle counters, accumulated on
-  /// worker threads and copied out by PublishCacheMetrics.
+  /// worker threads.
   std::atomic<int64_t> oracle_lookups_total_{0};
   std::atomic<int64_t> oracle_pruned_total_{0};
 

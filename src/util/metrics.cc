@@ -59,35 +59,10 @@ MetricsRegistry::Snapshot() const {
   return {histograms_.begin(), histograms_.end()};
 }
 
-void MetricsRegistry::AddCounter(const std::string& name, int64_t delta) {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_[name] += delta;
-}
-
-void MetricsRegistry::SetCounter(const std::string& name, int64_t value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_[name] = value;
-}
-
-int64_t MetricsRegistry::GetCounter(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = counters_.find(name);
-  return it != counters_.end() ? it->second : 0;
-}
-
-std::vector<std::pair<std::string, int64_t>> MetricsRegistry::CounterSnapshot()
-    const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {counters_.begin(), counters_.end()};
-}
-
 std::string MetricsRegistry::ToString() const {
   std::ostringstream os;
   for (const auto& [name, h] : Snapshot()) {
     os << name << ": " << h.ToString() << "\n";
-  }
-  for (const auto& [name, value] : CounterSnapshot()) {
-    os << name << ": " << value << "\n";
   }
   return os.str();
 }
@@ -95,7 +70,6 @@ std::string MetricsRegistry::ToString() const {
 void MetricsRegistry::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   histograms_.clear();
-  counters_.clear();
 }
 
 }  // namespace uots

@@ -1,12 +1,14 @@
-// Process-wide metrics surface: named latency histograms plus counters.
+// Process-wide latency histograms, keyed by name.
 //
-// Hot paths never touch the registry directly — batch workers and engines
-// accumulate into private LatencyHistogram instances and merge them in one
-// mutex-protected call at the end of a run. The registry is the read side:
-// benches, examples, and services snapshot it to report p50/p95/p99 across
-// everything that executed since the last Clear(). Counters cover the
-// monotonic side (cache hits, evictions, bytes): subsystems that already
-// keep their own atomics publish them with SetCounter at report points.
+// Engines and batch workers accumulate into private LatencyHistogram
+// instances and merge them in one mutex-protected call at the end of a run.
+// The server records one sample per request stage (server.request_latency
+// on the reactor, server.queue_wait and server.execute on the workers);
+// each Record() takes the registry mutex and a map lookup. The registry is
+// the read side for benches, examples and the admin plane's /metrics, which
+// snapshot it for p50/p95/p99 across everything recorded since the last
+// Clear(). It keeps no counters: each subsystem owns its tallies, and
+// /metrics, /statusz and uots_server's exit report read them there.
 
 #ifndef UOTS_UTIL_METRICS_H_
 #define UOTS_UTIL_METRICS_H_
@@ -52,21 +54,7 @@ class MetricsRegistry {
   /// Consistent copy of every (name, histogram) pair, sorted by name.
   std::vector<std::pair<std::string, LatencyHistogram>> Snapshot() const;
 
-  /// Adds `delta` to the counter under `name` (created at 0 on first use).
-  void AddCounter(const std::string& name, int64_t delta);
-
-  /// Overwrites the counter under `name` — the publish-at-report-point API
-  /// for subsystems that maintain their own atomics.
-  void SetCounter(const std::string& name, int64_t value);
-
-  /// Current counter value; 0 when absent.
-  int64_t GetCounter(const std::string& name) const;
-
-  /// Consistent copy of every (name, value) counter pair, sorted by name.
-  std::vector<std::pair<std::string, int64_t>> CounterSnapshot() const;
-
-  /// One "name: n=.. p50=.. ..." line per histogram, then one
-  /// "name: value" line per counter.
+  /// One "name: n=.. p50=.. ..." line per histogram.
   std::string ToString() const;
 
   void Clear();
@@ -74,7 +62,6 @@ class MetricsRegistry {
  private:
   mutable std::mutex mu_;
   std::map<std::string, LatencyHistogram> histograms_;
-  std::map<std::string, int64_t> counters_;
 };
 
 }  // namespace uots

@@ -1,11 +1,10 @@
-// A* and ALT landmark correctness against Dijkstra ground truth.
+// A* correctness against Dijkstra ground truth.
 
 #include "net/astar.h"
 
 #include <gtest/gtest.h>
 
 #include "net/generators.h"
-#include "net/landmarks.h"
 #include "util/rng.h"
 
 namespace uots {
@@ -60,40 +59,6 @@ TEST_P(AStarPropertyTest, PathEdgesAreAdjacentAndSumToDistance) {
   }
 }
 
-TEST_P(AStarPropertyTest, LandmarkBoundsAreAdmissible) {
-  const RoadNetwork g = TestNetwork(GetParam() + 10);
-  const LandmarkIndex landmarks(g, 4);
-  Rng rng(GetParam() + 10);
-  for (int trial = 0; trial < 30; ++trial) {
-    const VertexId u = static_cast<VertexId>(rng.Uniform(g.NumVertices()));
-    const VertexId v = static_cast<VertexId>(rng.Uniform(g.NumVertices()));
-    const double lb = landmarks.LowerBound(u, v);
-    const double exact = ShortestPathDistance(g, u, v);
-    EXPECT_LE(lb, exact + 1e-6) << "u=" << u << " v=" << v;
-    EXPECT_GE(lb, 0.0);
-  }
-}
-
-TEST_P(AStarPropertyTest, AltGivesExactDistancesWithFewerSettles) {
-  const RoadNetwork g = TestNetwork(GetParam() + 15);
-  const LandmarkIndex landmarks(g, 8);
-  AStarEngine astar(g);
-  Rng rng(GetParam() + 15);
-  int64_t settled_euclid = 0, settled_alt = 0;
-  for (int trial = 0; trial < 15; ++trial) {
-    const VertexId s = static_cast<VertexId>(rng.Uniform(g.NumVertices()));
-    const VertexId t = static_cast<VertexId>(rng.Uniform(g.NumVertices()));
-    const PathResult re = astar.FindPath(s, t);
-    const PathResult ra = astar.FindPath(s, t, landmarks.HeuristicFor(t));
-    EXPECT_NEAR(re.distance, ra.distance, 1e-6);
-    settled_euclid += re.settled;
-    settled_alt += ra.settled;
-  }
-  // ALT dominates the Euclidean bound on grid networks (weights ARE
-  // Euclidean lengths, so ALT's max with triangle bounds can only help).
-  EXPECT_LE(settled_alt, settled_euclid);
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, AStarPropertyTest, ::testing::Values(3, 7, 13));
 
 TEST(AStar, SourceEqualsTarget) {
@@ -109,23 +74,6 @@ TEST(AStar, DistanceOnlySkipsPath) {
   const RoadNetwork g = TestNetwork(2);
   AStarEngine astar(g);
   EXPECT_NEAR(astar.Distance(0, 10), ShortestPathDistance(g, 0, 10), 1e-6);
-}
-
-TEST(Landmarks, SelectsRequestedCount) {
-  const RoadNetwork g = TestNetwork(3);
-  const LandmarkIndex landmarks(g, 5);
-  EXPECT_EQ(landmarks.num_landmarks(), 5);
-  // Landmarks are distinct vertices.
-  auto ls = landmarks.landmarks();
-  std::sort(ls.begin(), ls.end());
-  EXPECT_EQ(std::unique(ls.begin(), ls.end()), ls.end());
-}
-
-TEST(Landmarks, LowerBoundIsSymmetricAndReflexive) {
-  const RoadNetwork g = TestNetwork(4);
-  const LandmarkIndex landmarks(g, 3);
-  EXPECT_DOUBLE_EQ(landmarks.LowerBound(7, 7), 0.0);
-  EXPECT_DOUBLE_EQ(landmarks.LowerBound(3, 9), landmarks.LowerBound(9, 3));
 }
 
 }  // namespace

@@ -1,84 +1,13 @@
-// Bidirectional Dijkstra and dataset statistics.
+// Dataset statistics: distribution summaries and generator properties.
 
 #include <gtest/gtest.h>
 
-#include "net/bidirectional.h"
 #include "net/generators.h"
 #include "traj/generator.h"
 #include "traj/stats.h"
-#include "util/rng.h"
 
 namespace uots {
 namespace {
-
-class BidirectionalPropertyTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(BidirectionalPropertyTest, MatchesUnidirectionalDijkstra) {
-  RandomGeometricOptions opts;
-  opts.num_vertices = 300;
-  opts.seed = GetParam();
-  auto g = MakeRandomGeometricNetwork(opts);
-  ASSERT_TRUE(g.ok());
-  BidirectionalDijkstra bidir(*g);
-  Rng rng(GetParam());
-  for (int trial = 0; trial < 30; ++trial) {
-    const VertexId s = static_cast<VertexId>(rng.Uniform(g->NumVertices()));
-    const VertexId t = static_cast<VertexId>(rng.Uniform(g->NumVertices()));
-    EXPECT_NEAR(bidir.Distance(s, t), ShortestPathDistance(*g, s, t), 1e-6)
-        << "s=" << s << " t=" << t;
-  }
-}
-
-TEST_P(BidirectionalPropertyTest, SettlesFewerVerticesOnAverage) {
-  GridNetworkOptions opts;
-  opts.rows = 30;
-  opts.cols = 30;
-  opts.seed = GetParam();
-  auto g = MakeGridNetwork(opts);
-  ASSERT_TRUE(g.ok());
-  BidirectionalDijkstra bidir(*g);
-  Rng rng(GetParam() + 7);
-  int64_t bidir_settled = 0;
-  int64_t full = 0;
-  for (int trial = 0; trial < 15; ++trial) {
-    const VertexId s = static_cast<VertexId>(rng.Uniform(g->NumVertices()));
-    const VertexId t = static_cast<VertexId>(rng.Uniform(g->NumVertices()));
-    bidir.Distance(s, t);
-    bidir_settled += bidir.last_settled();
-    full += static_cast<int64_t>(g->NumVertices());
-  }
-  // Unidirectional settles up to |V| per query; bidirectional should be
-  // well under half of that on average for random pairs.
-  EXPECT_LT(bidir_settled, full / 2);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BidirectionalPropertyTest,
-                         ::testing::Values(101, 202, 303));
-
-TEST(Bidirectional, SourceEqualsTarget) {
-  GridNetworkOptions opts;
-  opts.rows = 5;
-  opts.cols = 5;
-  auto g = MakeGridNetwork(opts);
-  ASSERT_TRUE(g.ok());
-  BidirectionalDijkstra bidir(*g);
-  EXPECT_DOUBLE_EQ(bidir.Distance(3, 3), 0.0);
-  EXPECT_EQ(bidir.last_settled(), 0);
-}
-
-TEST(Bidirectional, AdjacentVertices) {
-  GraphBuilder b;
-  const VertexId v0 = b.AddVertex(Point{0, 0});
-  const VertexId v1 = b.AddVertex(Point{5, 0});
-  const VertexId v2 = b.AddVertex(Point{10, 0});
-  b.AddEdge(v0, v1);
-  b.AddEdge(v1, v2);
-  auto g = std::move(b).Finalize();
-  ASSERT_TRUE(g.ok());
-  BidirectionalDijkstra bidir(*g);
-  EXPECT_DOUBLE_EQ(bidir.Distance(v0, v1), 5.0);
-  EXPECT_DOUBLE_EQ(bidir.Distance(v0, v2), 10.0);
-}
 
 TEST(Summarize, FiveNumberValues) {
   const DistributionSummary s = Summarize({5, 1, 3, 2, 4});

@@ -10,9 +10,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <future>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,11 +25,14 @@
 #include "core/batch.h"
 #include "core/workload.h"
 #include "net/generators.h"
+#include "oracle/ch_oracle.h"
 #include "server/client.h"
 #include "server/http.h"
 #include "server/json.h"
 #include "server/server.h"
 #include "traj/generator.h"
+#include "trip/workload.h"
+#include "util/metrics.h"
 
 namespace uots {
 namespace {
@@ -701,7 +708,7 @@ TEST(AdminIntegrationTest, MetricsServeLiveAndStayMonotonicUnderLoad) {
   ASSERT_EQ(failures.load(), 0);
 
   // After the load has fully drained, the scrape is exact, not eventual:
-  // cache metrics are published at scrape time.
+  // every counter is read from its owner as the page renders.
   const auto after = AdminGet(admin_port, "/metrics");
   double requests_after = 0.0, latency_count = 0.0;
   ASSERT_TRUE(promtext::FindValue(after.body, "uots_server_requests_total",
@@ -1108,6 +1115,272 @@ TEST(AdminIntegrationTest, TracingSamplesSpansIntoSlowLog) {
       EXPECT_TRUE(e.Find("spans")->array_items().empty());
     }
   }
+}
+
+// --- exported series -------------------------------------------------------
+
+/// The `# TYPE` lines of a /metrics page as sorted "<series> <type>" strings.
+std::vector<std::string> SeriesTypes(const std::string& page) {
+  std::vector<std::string> out;
+  std::istringstream in(page);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) out.push_back(line.substr(7));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// An oracle-backed database served with the result cache, compaction and
+/// the admin plane on. Drive() sends retrieval queries (each twice, so the
+/// second is a cache hit), trip queries and one ingest batch; Compact()
+/// folds the batch. Between them every exported series has been touched.
+class MetricsDrill {
+ public:
+  MetricsDrill() {
+    // Histograms live in the process-wide registry: start from an empty
+    // one so earlier tests in this binary add no families.
+    MetricsRegistry::Global().Clear();
+    GridNetworkOptions net_opts;
+    net_opts.rows = 14;
+    net_opts.cols = 14;
+    net_opts.seed = 61;
+    auto network = MakeGridNetwork(net_opts);
+    EXPECT_TRUE(network.ok());
+    TripGeneratorOptions trip_opts;
+    trip_opts.num_trajectories = 30;
+    trip_opts.vocabulary_size = 120;
+    trip_opts.seed = 63;
+    auto extra = GenerateTrips(*network, trip_opts);
+    EXPECT_TRUE(extra.ok());
+    for (size_t i = 0; i < extra->store.size(); ++i) {
+      extra_.push_back(extra->store.Materialize(static_cast<TrajId>(i)));
+    }
+    trip_opts.num_trajectories = 150;
+    trip_opts.seed = 62;
+    auto base = GenerateTrips(*network, trip_opts);
+    EXPECT_TRUE(base.ok());
+    db_ = std::make_unique<TrajectoryDatabase>(std::move(*network),
+                                               std::move(base->store),
+                                               std::move(base->vocabulary));
+    auto oracle = DistanceOracle::Build(db_->network());
+    EXPECT_TRUE(oracle.ok()) << oracle.status().ToString();
+    db_->AttachOracle(
+        std::make_shared<const DistanceOracle>(std::move(*oracle)));
+
+    ServerOptions opts = WithAdmin();
+    opts.service.threads = 2;
+    opts.service.cache_max_entries = 64;
+    opts.compact_snapshot_path = snap_path_;
+    fx_ = std::make_unique<ServerFixture>(*db_, opts);
+  }
+
+  ~MetricsDrill() {
+    fx_.reset();
+    std::remove(snap_path_.c_str());
+  }
+
+  UotsServer& server() { return fx_->server(); }
+  std::string Scrape() {
+    return AdminGet(server().admin_port(), "/metrics").body;
+  }
+
+  void Drive() {
+    BlockingClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", fx_->port()).ok());
+    const auto queries = MakeQueries(*db_, 4);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t i = 0; i < queries.size(); ++i) {
+        QueryRequest req;
+        req.id = static_cast<int64_t>(i);
+        req.query = queries[i];
+        auto resp = client.Call(req);
+        ASSERT_TRUE(resp.ok() && resp->ok()) << resp.status().ToString();
+        EXPECT_EQ(resp->cached, pass == 1);
+      }
+    }
+    TripWorkloadOptions topts;
+    topts.num_queries = 2;
+    topts.num_locations = 3;
+    topts.k = 2;
+    topts.seed = 64;
+    auto trips = MakeTripWorkload(*db_, topts);
+    ASSERT_TRUE(trips.ok()) << trips.status().ToString();
+    for (size_t i = 0; i < trips->size(); ++i) {
+      TripRequest req;
+      req.id = static_cast<int64_t>(10 + i);
+      req.query = (*trips)[i];
+      auto resp = client.Call(req);
+      ASSERT_TRUE(resp.ok() && resp->ok()) << resp.status().ToString();
+    }
+    IngestRequest ireq;
+    ireq.id = 20;
+    ireq.trajectories = extra_;
+    auto iresp = client.Call(ireq);
+    ASSERT_TRUE(iresp.ok() && iresp->ok()) << iresp.status().ToString();
+  }
+
+  void Compact() {
+    const uint16_t admin_port = server().admin_port();
+    ASSERT_EQ(AdminGet(admin_port, "/compact", "POST").status, 202);
+    for (int i = 0; i < 200; ++i) {
+      const std::string page = AdminGet(admin_port, "/statusz").body;
+      if (page.find("\"compacting\":false") != std::string::npos &&
+          page.find("\"compactions\":1") != std::string::npos) {
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    FAIL() << "compaction did not finish in 10s";
+  }
+
+ private:
+  const std::string snap_path_ =
+      ::testing::TempDir() + "/uots_metrics_drill.snap";
+  std::vector<Trajectory> extra_;
+  std::unique_ptr<TrajectoryDatabase> db_;
+  std::unique_ptr<ServerFixture> fx_;
+};
+
+TEST(AdminIntegrationTest, ExportedSeriesMatchTheGoldenList) {
+  MetricsDrill drill;
+  ASSERT_NO_FATAL_FAILURE(drill.Drive());
+  ASSERT_NO_FATAL_FAILURE(drill.Compact());
+  // Every series name and type /metrics exports once retrieval, trip,
+  // ingest and compaction have run. A rename shows up here as a diff.
+  const std::vector<std::string> golden = {
+      "uots_server_admin_connections gauge",
+      "uots_server_cache_bytes gauge",
+      "uots_server_cache_evictions_total counter",
+      "uots_server_cache_hits_total counter",
+      "uots_server_cache_lookup_quantile_seconds gauge",
+      "uots_server_cache_lookup_seconds histogram",
+      "uots_server_cache_misses_total counter",
+      "uots_server_compactions_total counter",
+      "uots_server_connections_accepted_total counter",
+      "uots_server_connections_closed_total counter",
+      "uots_server_connections_rejected_total counter",
+      "uots_server_deadline_exceeded_total counter",
+      "uots_server_draining gauge",
+      "uots_server_errors_internal_total counter",
+      "uots_server_execute_quantile_seconds gauge",
+      "uots_server_execute_seconds histogram",
+      "uots_server_executor_queue_depth gauge",
+      "uots_server_inflight_requests gauge",
+      "uots_server_ingest_accepted_trips_total counter",
+      "uots_server_ingest_apply_quantile_seconds gauge",
+      "uots_server_ingest_apply_seconds histogram",
+      "uots_server_ingest_batches_total counter",
+      "uots_server_ingest_compact_build_quantile_seconds gauge",
+      "uots_server_ingest_compact_build_seconds histogram",
+      "uots_server_ingest_compact_failures_total counter",
+      "uots_server_ingest_delta_bytes gauge",
+      "uots_server_ingest_delta_trajectories gauge",
+      "uots_server_ingest_generation_total counter",
+      "uots_server_ingest_rejected_batches_total counter",
+      "uots_server_ingest_rejected_total counter",
+      "uots_server_ingest_requests_total counter",
+      "uots_server_open_connections gauge",
+      "uots_server_oracle_lookups_total counter",
+      "uots_server_oracle_pruned_candidates_total counter",
+      "uots_server_oversized_frames_total counter",
+      "uots_server_parse_errors_total counter",
+      "uots_server_queue_wait_quantile_seconds gauge",
+      "uots_server_queue_wait_seconds histogram",
+      "uots_server_rejected_overloaded_total counter",
+      "uots_server_rejected_shutting_down_total counter",
+      "uots_server_request_cache_hits_total counter",
+      "uots_server_request_latency_quantile_seconds gauge",
+      "uots_server_request_latency_seconds histogram",
+      "uots_server_requests_total counter",
+      "uots_server_responses_ok_total counter",
+      "uots_server_slowlog_entries_total counter",
+      "uots_server_trace_sample_every gauge",
+      "uots_server_trip_requests_total counter",
+      "uots_server_uptime_seconds gauge",
+      "uots_trip_assemble_quantile_seconds gauge",
+      "uots_trip_assemble_seconds histogram",
+      "uots_trip_harvest_quantile_seconds gauge",
+      "uots_trip_harvest_seconds histogram",
+      "uots_trip_plan_quantile_seconds gauge",
+      "uots_trip_plan_seconds histogram",
+  };
+  EXPECT_EQ(SeriesTypes(drill.Scrape()), golden);
+}
+
+TEST(AdminIntegrationTest, CountersNeverFallAndMatchTheirOwners) {
+  MetricsDrill drill;
+  ASSERT_NO_FATAL_FAILURE(drill.Drive());
+  const std::string before = drill.Scrape();
+  ASSERT_NO_FATAL_FAILURE(drill.Compact());
+  const std::string after = drill.Scrape();
+
+  // A compaction empties the delta; no series typed counter may fall.
+  for (const std::string& line : SeriesTypes(after)) {
+    const size_t space = line.rfind(' ');
+    if (line.substr(space + 1) != "counter") continue;
+    const std::string series = line.substr(0, space);
+    double was = 0.0;  // a counter first exported now was 0 before
+    double now = -1.0;
+    promtext::FindValue(before, series, &was);
+    ASSERT_TRUE(promtext::FindValue(after, series, &now)) << series;
+    EXPECT_GE(now, was) << series << " fell across the compaction";
+  }
+
+  // The server is idle: the page must equal what the owners hold now,
+  // read on the loop thread that owns the reactor-side state.
+  struct Owners {
+    ResultCache::Stats cache;
+    int64_t accepted_trips = 0;
+    int64_t rejected = 0;
+    int64_t batches = 0;
+    int64_t generation = 0;
+    int64_t delta_trajectories = 0;
+    int64_t delta_bytes = 0;
+    int64_t oracle_lookups = 0;
+    int64_t oracle_pruned = 0;
+  };
+  std::promise<Owners> read;
+  drill.server().loop().Post([&] {
+    UotsServer& s = drill.server();
+    Owners o;
+    o.cache = s.service().result_cache()->stats();
+    o.accepted_trips = s.counters().ingest_accepted_trips;
+    o.rejected = s.ingestor().rejected_total();
+    o.batches = s.ingestor().batches_total();
+    o.generation = static_cast<int64_t>(s.ingestor().generation());
+    o.delta_trajectories =
+        static_cast<int64_t>(s.ingestor().delta_trajectories());
+    o.delta_bytes = static_cast<int64_t>(s.ingestor().delta_bytes());
+    o.oracle_lookups = s.service().oracle_lookups();
+    o.oracle_pruned = s.service().oracle_pruned_candidates();
+    read.set_value(o);
+  });
+  const Owners o = read.get_future().get();
+  const auto value = [&after](const std::string& series) {
+    double v = -1.0;
+    EXPECT_TRUE(promtext::FindValue(after, series, &v)) << series;
+    return static_cast<int64_t>(v);
+  };
+  EXPECT_GT(o.cache.hits, 0);
+  EXPECT_EQ(value("uots_server_cache_hits_total"), o.cache.hits);
+  EXPECT_EQ(value("uots_server_cache_misses_total"), o.cache.misses);
+  EXPECT_EQ(value("uots_server_cache_evictions_total"),
+            o.cache.evictions + o.cache.expired);
+  EXPECT_EQ(value("uots_server_cache_bytes"), o.cache.bytes);
+  EXPECT_EQ(value("uots_server_ingest_accepted_trips_total"),
+            o.accepted_trips);
+  EXPECT_EQ(o.accepted_trips, 30);
+  EXPECT_EQ(value("uots_server_ingest_rejected_total"), o.rejected);
+  EXPECT_EQ(value("uots_server_ingest_batches_total"), o.batches);
+  EXPECT_EQ(value("uots_server_ingest_generation_total"), o.generation);
+  EXPECT_EQ(value("uots_server_ingest_delta_trajectories"),
+            o.delta_trajectories);
+  EXPECT_EQ(value("uots_server_ingest_delta_bytes"), o.delta_bytes);
+  EXPECT_GT(o.oracle_lookups, 0);
+  EXPECT_EQ(value("uots_server_oracle_lookups_total"), o.oracle_lookups);
+  EXPECT_EQ(value("uots_server_oracle_pruned_candidates_total"),
+            o.oracle_pruned);
 }
 
 }  // namespace

@@ -8,10 +8,8 @@
 #include <cstdlib>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "net/generators.h"
-#include "net/io.h"
 #include "storage/snapshot_reader.h"
 #include "storage/snapshot_writer.h"
 #include "traj/generator.h"
@@ -39,35 +37,6 @@ std::string TempPathFor(const std::string& path) {
   return path + ".tmp." + std::to_string(::getpid()) + "." +
          std::to_string(seq.fetch_add(1));
 }
-
-/// Cache files written under temp names, renamed into place by Publish().
-class StagedFiles {
- public:
-  /// Records the outcome of writing `path`'s contents to `tmp`.
-  void Add(const Status& written, const std::string& tmp,
-           const std::string& path) {
-    if (written.ok()) {
-      files_.emplace_back(tmp, path);
-      return;
-    }
-    std::remove(tmp.c_str());
-    std::fprintf(stderr, "warning: cannot write cache %s\n", path.c_str());
-  }
-
-  void Publish() {
-    for (const auto& [tmp, path] : files_) {
-      if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        std::fprintf(stderr, "warning: cannot publish cache %s\n",
-                     path.c_str());
-      }
-    }
-    files_.clear();
-  }
-
- private:
-  std::vector<std::pair<std::string, std::string>> files_;  // (tmp, path)
-};
 
 RoadNetwork BuildNetwork(City city) {
   if (city == City::kBRN) {
@@ -137,10 +106,6 @@ std::string EnsureCacheDir() {
   return dir;
 }
 
-std::string CachedNetworkPath(City city) {
-  return CacheDir() + "/" + CityName(city) + ".network";
-}
-
 std::string CachedTrajectoriesPath(City city) {
   return CacheDir() + "/" + CityName(city) + ".trajectories";
 }
@@ -150,46 +115,28 @@ std::string CachedSnapshotPath(City city, int num_trajectories) {
          std::to_string(num_trajectories) + ".snap";
 }
 
-bool SnapshotCacheEnabled() {
-  const char* env = std::getenv("UOTS_SNAPSHOT_CACHE");
-  return env == nullptr || std::string(env) != "0";
-}
-
 std::unique_ptr<TrajectoryDatabase> LoadCity(City city, int num_trajectories) {
   EnsureCacheDir();
-  const std::string net_path = CachedNetworkPath(city);
-  const std::string traj_path = CachedTrajectoriesPath(city);
 
   // Fast path: a previously persisted snapshot of this exact (city,
-  // cardinality) pair loads zero-copy, skipping parse and index builds.
+  // cardinality) pair loads zero-copy, skipping generation, parse and
+  // index builds.
   const std::string snap_path = CachedSnapshotPath(city, num_trajectories);
-  if (SnapshotCacheEnabled() && FileExists(snap_path)) {
+  if (FileExists(snap_path)) {
     auto snap = storage::LoadSnapshot(snap_path);
     if (snap.ok()) return std::move(*snap);
     std::fprintf(stderr, "snapshot cache load failed (%s); rebuilding\n",
                  snap.status().ToString().c_str());
   }
 
-  // Every cache file appears whole or not at all (temp name + rename), and
-  // the text files appear only after the snapshot. A concurrent LoadCity of
-  // the same (city, n) thus finds the finished snapshot or no cache at all;
-  // it never parses a half-written text file, nor the 3-decimal text
-  // rounding of a network this process generated exactly. With no cache
-  // it generates the identical data itself.
-  StagedFiles staged;
-  RoadNetwork network = [&] {
-    if (FileExists(net_path)) {
-      auto g = LoadNetwork(net_path);
-      if (g.ok()) return std::move(*g);
-      std::fprintf(stderr, "cache load failed (%s); regenerating\n",
-                   g.status().ToString().c_str());
-    }
-    RoadNetwork g = BuildNetwork(city);
-    const std::string tmp = TempPathFor(net_path);
-    staged.Add(SaveNetwork(g, tmp), tmp, net_path);
-    return g;
-  }();
-
+  // The network is regenerated on every load (milliseconds): a text copy
+  // would round its coordinates and yield another dataset. The trip set
+  // takes seconds, so its text file (integers only: an exact round trip)
+  // is cached. It appears whole or not at all (temp name + rename), so a
+  // concurrent LoadCity parses the finished file or generates the
+  // identical trips itself.
+  RoadNetwork network = BuildNetwork(city);
+  const std::string traj_path = CachedTrajectoriesPath(city);
   TrajectoryStore full = [&] {
     if (FileExists(traj_path)) {
       auto s = LoadTrajectories(traj_path);
@@ -199,7 +146,12 @@ std::unique_ptr<TrajectoryDatabase> LoadCity(City city, int num_trajectories) {
     }
     TrajectoryStore s = BuildTrips(network, city);
     const std::string tmp = TempPathFor(traj_path);
-    staged.Add(SaveTrajectories(s, tmp), tmp, traj_path);
+    if (!SaveTrajectories(s, tmp).ok() ||
+        std::rename(tmp.c_str(), traj_path.c_str()) != 0) {
+      std::remove(tmp.c_str());
+      std::fprintf(stderr, "warning: cannot write cache %s\n",
+                   traj_path.c_str());
+    }
     return s;
   }();
 
@@ -209,14 +161,11 @@ std::unique_ptr<TrajectoryDatabase> LoadCity(City city, int num_trajectories) {
           : Slice(full, num_trajectories);
   auto db = std::make_unique<TrajectoryDatabase>(
       std::move(network), std::move(store), Vocabulary::Synthetic(1000));
-  if (SnapshotCacheEnabled()) {
-    const Status st = storage::WriteSnapshot(*db, snap_path);
-    if (!st.ok()) {
-      std::fprintf(stderr, "warning: cannot write snapshot cache %s: %s\n",
-                   snap_path.c_str(), st.ToString().c_str());
-    }
+  const Status st = storage::WriteSnapshot(*db, snap_path);
+  if (!st.ok()) {
+    std::fprintf(stderr, "warning: cannot write snapshot cache %s: %s\n",
+                 snap_path.c_str(), st.ToString().c_str());
   }
-  staged.Publish();
   return db;
 }
 

@@ -8,14 +8,16 @@
 // each bench binary under a couple of minutes. EXPERIMENTS.md discusses the
 // scaling.
 //
-// Datasets are generated deterministically and cached as text files under
-// $UOTS_BENCH_CACHE_DIR (default /tmp/uots_bench_cache) so the suite of
-// bench binaries only pays generation once. On top of the text cache sits a
+// Datasets are generated deterministically. The network is regenerated on
+// every load (milliseconds); the trip set, which takes seconds, is cached
+// as a text file (<CITY>.trajectories, integers only, so it round-trips
+// exactly) under $UOTS_BENCH_CACHE_DIR (default /tmp/uots_bench_cache), so
+// the suite of bench binaries pays trip generation once. On top sits a
 // per-cardinality binary snapshot cache (<CITY>.<n>.snap, src/storage/):
 // after the first build of a given (city, cardinality) the database is
-// persisted and later LoadCity calls mmap it back in without parsing or
-// index building. Set UOTS_SNAPSHOT_CACHE=0 to bypass the snapshot layer
-// (benches that measure the build path itself need the slow route).
+// persisted and later LoadCity calls mmap it back in without generation,
+// parsing or index building. A (city, n) pair yields the same dataset
+// whatever the cache already holds.
 
 #ifndef UOTS_BENCH_COMMON_DATASETS_H_
 #define UOTS_BENCH_COMMON_DATASETS_H_
@@ -52,15 +54,11 @@ std::unique_ptr<TrajectoryDatabase> LoadCity(City city);
 /// created if missing.
 std::string EnsureCacheDir();
 
-/// Text-cache paths for a city (may not exist yet; LoadCity fills them).
-std::string CachedNetworkPath(City city);
+/// Trip-set text cache for a city (may not exist yet; LoadCity fills it).
 std::string CachedTrajectoriesPath(City city);
 
 /// Snapshot-cache path for one (city, cardinality) pair.
 std::string CachedSnapshotPath(City city, int num_trajectories);
-
-/// False when UOTS_SNAPSHOT_CACHE=0 disables the snapshot layer.
-bool SnapshotCacheEnabled();
 
 }  // namespace bench
 }  // namespace uots

@@ -119,9 +119,9 @@ for preset in "${presets[@]}"; do
         "${builddir[release]}/check-bench-trip.json"
       # Cold dataset cache drill: two builds of one city started 2 s apart
       # on the same empty cache dir must load the same dataset. Cache files
-      # appear whole (temp name + rename) and the text files only after the
-      # snapshot, so the second build finds the finished snapshot or no
-      # cache at all — never a half-written or rounded text file.
+      # appear whole (temp name + rename), so the second build finds the
+      # finished snapshot or trips file, or no cache at all — never a
+      # half-written file.
       echo "==> release: cold dataset cache drill"
       cold="$(mktemp -d)"
       UOTS_BENCH_CACHE_DIR="${cold}" "${builddir[release]}/apps/uots_snapshot" \
@@ -137,7 +137,21 @@ for preset in "${presets[@]}"; do
       fp_second=$(grep -o "fingerprint [0-9a-f]*" "${cold}/second.txt")
       echo "first build: ${fp_first}; second build: ${fp_second}"
       [[ -n "${fp_first}" && "${fp_first}" == "${fp_second}" ]]
-      rm -rf "${cold}"
+      # A dataset must not depend on the cache's history either: a second
+      # cardinality built in that dir (trips cached, no snapshot of its own)
+      # must equal the same cardinality built in another fresh dir.
+      other="$(mktemp -d)"
+      UOTS_BENCH_CACHE_DIR="${cold}" "${builddir[release]}/apps/uots_snapshot" \
+        build --city=BRN --trajectories=3000 --out="${cold}/warm.snap" \
+        > "${cold}/warm.txt"
+      UOTS_BENCH_CACHE_DIR="${other}" "${builddir[release]}/apps/uots_snapshot" \
+        build --city=BRN --trajectories=3000 --out="${other}/fresh.snap" \
+        > "${other}/fresh.txt"
+      fp_warm=$(grep -o "fingerprint [0-9a-f]*" "${cold}/warm.txt")
+      fp_fresh=$(grep -o "fingerprint [0-9a-f]*" "${other}/fresh.txt")
+      echo "after another n: ${fp_warm}; fresh cache: ${fp_fresh}"
+      [[ -n "${fp_warm}" && "${fp_warm}" == "${fp_fresh}" ]]
+      rm -rf "${cold}" "${other}"
     fi
     # Admin-plane drill: serve a generated city with the admin listener on,
     # drive a closed loop that also scrapes server-side quantiles, then hit

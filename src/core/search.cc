@@ -57,7 +57,7 @@ UotsSearcher::UotsSearcher(const TrajectoryDatabase& db,
   state_slot_.Resize(db.store().size());
   text_of_.Resize(db.store().size());
   if (opts_.use_oracle && db.oracle() != nullptr) {
-    provider_ = MakeChProvider(*db.oracle());
+    oracle_ = std::make_unique<OracleQuerier>(*db.oracle());
   }
 }
 
@@ -162,8 +162,8 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
   // reached them. The oracle finisher resolves exactly those candidates
   // directly (see the termination check below) and stops, skipping the
   // tail expansion entirely.
-  const bool use_oracle = provider_ != nullptr;
-  if (use_oracle) provider_->BeginQuery(query.locations);
+  const bool use_oracle = oracle_ != nullptr;
+  if (use_oracle) oracle_->BeginQuery(query.locations);
 
   state_slot_.Reset();
   states_.clear();
@@ -269,7 +269,7 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
     for (const Sample& smp : view_.SamplesOf(t)) {
       sample_verts.push_back(smp.vertex);
     }
-    const std::span<const double> row = provider_->MinDistancesTo(sample_verts);
+    const std::span<const double> row = oracle_->MinDistancesTo(sample_verts);
     stats->trajectory_hits += static_cast<int64_t>(m) - s.known;
     const uint64_t unset = ~s.mask & full_mask;
     s.mask = full_mask;
@@ -610,7 +610,7 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
     stats->dcache_replayed += done.replayed_count();
     if (done.Publish()) ++stats->dcache_published;
   }
-  if (use_oracle) stats->oracle_lookups += provider_->TakeLookups();
+  if (use_oracle) stats->oracle_lookups += oracle_->TakeLookups();
   if (aborted) {
     return Status::DeadlineExceeded("search aborted by deadline/cancel");
   }

@@ -39,7 +39,7 @@
 #include "cache/expansion_cursor.h"
 #include "core/algorithm.h"
 #include "ingest/merged_view.h"
-#include "oracle/distance_provider.h"
+#include "oracle/querier.h"
 #include "util/versioned.h"
 
 namespace uots {
@@ -107,9 +107,9 @@ class UotsSearcher : public SearchAlgorithm {
   /// Base+delta read surface, rebound at the top of every Search /
   /// SearchThreshold so one query sees one sealed ingest generation.
   MergedView view_;
-  /// Exact-distance oracle front-end; null without an attached oracle (or
+  /// Exact-distance oracle queries; null without an attached oracle (or
   /// with opts_.use_oracle off). Per-searcher scratch, like expansions_.
-  std::unique_ptr<DistanceProvider> provider_;
+  std::unique_ptr<OracleQuerier> oracle_;
   /// Expansion cursors: plain resumable Dijkstras without a distance cache,
   /// replay/record front-ends with one (opts_.distance_cache).
   std::vector<std::unique_ptr<ExpansionCursor>> expansions_;

@@ -14,6 +14,7 @@
 
 #include "net/dijkstra.h"
 #include "net/graph.h"
+#include "util/dary_heap.h"
 
 namespace uots {
 

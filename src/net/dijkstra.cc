@@ -1,7 +1,8 @@
 #include "net/dijkstra.h"
 
-#include <algorithm>
 #include <cassert>
+
+#include "util/dary_heap.h"
 
 namespace uots {
 
@@ -10,7 +11,6 @@ ShortestPathTree ComputeShortestPathTree(const RoadNetwork& g, VertexId source) 
   assert(source < n);
   ShortestPathTree out;
   out.dist.assign(n, kInfDistance);
-  out.parent.assign(n, kInvalidVertex);
   VertexHeap heap(n);
   out.dist[source] = 0.0;
   heap.Push(source, 0.0);
@@ -23,7 +23,6 @@ ShortestPathTree ComputeShortestPathTree(const RoadNetwork& g, VertexId source) 
       const double old = out.dist[e.to];
       if (nd < old) {
         out.dist[e.to] = nd;
-        out.parent[e.to] = v;
         // Finite improvable label => e.to is queued (settled labels are
         // final under nonnegative weights); infinite => first visit.
         if (old == kInfDistance) {
@@ -63,56 +62,6 @@ double ShortestPathDistance(const RoadNetwork& g, VertexId s, VertexId t) {
     }
   }
   return kInfDistance;
-}
-
-std::vector<VertexId> ShortestPathVertices(const RoadNetwork& g, VertexId s,
-                                           VertexId t) {
-  const ShortestPathTree tree = ComputeShortestPathTree(g, s);
-  if (tree.dist[t] == kInfDistance) return {};
-  std::vector<VertexId> path;
-  for (VertexId v = t; v != kInvalidVertex; v = tree.parent[v]) {
-    path.push_back(v);
-  }
-  std::reverse(path.begin(), path.end());
-  assert(path.front() == s);
-  return path;
-}
-
-DijkstraEngine::DijkstraEngine(const RoadNetwork& g)
-    : g_(&g), dist_(g.NumVertices()), heap_(g.NumVertices()) {}
-
-NearestTargetResult DijkstraEngine::NearestOf(
-    VertexId source, const std::vector<uint8_t>& is_target, double max_radius) {
-  assert(is_target.size() == g_->NumVertices());
-  NearestTargetResult out;
-  dist_.Reset();
-  heap_.Reset();
-  dist_.Set(source, 0.0);
-  heap_.Push(source, 0.0);
-  while (!heap_.empty()) {
-    const auto [d, v] = heap_.Pop();
-    if (d > max_radius) break;
-    if (is_target[v]) {
-      out.vertex = v;
-      out.distance = d;
-      return out;
-    }
-    const auto neighbors = g_->Neighbors(v);
-    for (const auto& e : neighbors) dist_.Prefetch(e.to);
-    for (const auto& e : neighbors) {
-      const double old = dist_.Get(e.to);
-      const double nd = d + e.weight;
-      if (nd < old) {
-        dist_.Set(e.to, nd);
-        if (old == kInfDistance) {
-          heap_.Push(e.to, nd);
-        } else {
-          heap_.DecreaseKey(e.to, nd);
-        }
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace uots

@@ -1,10 +1,14 @@
-// Shortest-path primitives: full / bounded / multi-target Dijkstra.
+// Shortest-path references: a full shortest-path tree and a pairwise
+// distance, plus the version-tagged distance labels every Dijkstra here
+// shares.
 //
-// All variants run on the CSR RoadNetwork with an indexed 4-ary heap
-// (util/dary_heap.h): relaxations decrease keys in place, so the heap never
-// holds stale entries and every pop settles a vertex. Repeated queries
-// reuse a DistanceField and a heap whose version-tagged entries make
-// Reset() O(1) instead of O(|V|).
+// The search layer's one production Dijkstra is the resumable expansion in
+// net/expansion.h. The two functions below are the independent references
+// the brute-force engine, the tests and the oracle benchmarks compare it
+// and the CH oracle against. Both run on the CSR RoadNetwork with an
+// indexed 4-ary heap (util/dary_heap.h): relaxations decrease keys in
+// place, so the heap never holds stale entries and every pop settles a
+// vertex.
 
 #ifndef UOTS_NET_DIJKSTRA_H_
 #define UOTS_NET_DIJKSTRA_H_
@@ -14,7 +18,6 @@
 #include <vector>
 
 #include "net/graph.h"
-#include "util/dary_heap.h"
 
 namespace uots {
 
@@ -63,10 +66,9 @@ class DistanceField {
   uint32_t current_ = 1;
 };
 
-/// \brief Full single-source shortest-path tree.
+/// \brief Full single-source shortest-path distances.
 struct ShortestPathTree {
-  std::vector<double> dist;      ///< dist[v] = sd(source, v); inf if unreachable
-  std::vector<VertexId> parent;  ///< parent[v] on a shortest path; kInvalidVertex at source
+  std::vector<double> dist;  ///< dist[v] = sd(source, v); inf if unreachable
 };
 
 /// Computes the complete shortest-path tree from `source`.
@@ -74,67 +76,6 @@ ShortestPathTree ComputeShortestPathTree(const RoadNetwork& g, VertexId source);
 
 /// Network distance sd(s, t); kInfDistance if unreachable.
 double ShortestPathDistance(const RoadNetwork& g, VertexId s, VertexId t);
-
-/// Vertices of a shortest path s..t (inclusive); empty if unreachable.
-std::vector<VertexId> ShortestPathVertices(const RoadNetwork& g, VertexId s,
-                                           VertexId t);
-
-/// \brief Result of a multi-target search.
-struct NearestTargetResult {
-  VertexId vertex = kInvalidVertex;  ///< nearest target, or kInvalidVertex
-  double distance = kInfDistance;
-};
-
-/// \brief Reusable Dijkstra engine for repeated source queries on one graph.
-///
-/// The exact evaluator uses NearestOf() to compute d(o, tau) = the network
-/// distance from a query location to the closest sample point of a
-/// trajectory, stopping as soon as the first target vertex is settled.
-class DijkstraEngine {
- public:
-  explicit DijkstraEngine(const RoadNetwork& g);
-
-  /// Distance from `source` to the nearest vertex with is_target[v] != 0.
-  /// Optionally bounded: stops once the search radius exceeds `max_radius`.
-  NearestTargetResult NearestOf(VertexId source,
-                                const std::vector<uint8_t>& is_target,
-                                double max_radius = kInfDistance);
-
-  /// Runs SSSP from `source` out to `max_radius` and invokes
-  /// visit(v, dist) for every settled vertex in nondecreasing distance.
-  template <typename Visitor>
-  void Explore(VertexId source, double max_radius, Visitor&& visit) {
-    dist_.Reset();
-    heap_.Reset();
-    dist_.Set(source, 0.0);
-    heap_.Push(source, 0.0);
-    while (!heap_.empty()) {
-      const auto [d, v] = heap_.Pop();
-      if (d > max_radius) break;
-      visit(v, d);
-      const auto neighbors = g_->Neighbors(v);
-      for (const auto& e : neighbors) dist_.Prefetch(e.to);
-      for (const auto& e : neighbors) {
-        const double old = dist_.Get(e.to);
-        const double nd = d + e.weight;
-        if (nd < old) {
-          dist_.Set(e.to, nd);
-          // Finite improvable label => queued; infinite => first visit.
-          if (old == kInfDistance) {
-            heap_.Push(e.to, nd);
-          } else {
-            heap_.DecreaseKey(e.to, nd);
-          }
-        }
-      }
-    }
-  }
-
- private:
-  const RoadNetwork* g_;
-  DistanceField dist_;
-  VertexHeap heap_;
-};
 
 }  // namespace uots
 

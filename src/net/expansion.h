@@ -1,13 +1,16 @@
-// Incremental network expansion — the spatial-domain query source.
+// Incremental network expansion — the spatial-domain query source, and
+// the one production Dijkstra over the road network.
 //
 // The UOTS search runs one expansion per query location and interleaves
-// their progress under a scheduling heuristic. Each expansion is a
-// resumable Dijkstra: Step() settles exactly one vertex per call, in
-// nondecreasing distance order, so the first time a trajectory's vertex is
-// settled by the expansion from query location o, the settled distance IS
-// d(o, tau) — no further refinement is ever needed. The current radius()
-// lower-bounds the distance to everything not yet settled, which is what
-// the upper-bound pruning in core/search.cc relies on.
+// their progress under a scheduling heuristic; the trip harvester runs one
+// per location, and the trip assembler one per connector source when no
+// oracle is attached. Each expansion is a resumable Dijkstra: Step()
+// settles exactly one vertex per call, in nondecreasing distance order, so
+// the first time a trajectory's vertex is settled by the expansion from
+// query location o, the settled distance IS d(o, tau) — no further
+// refinement is ever needed. The current radius() lower-bounds the
+// distance to everything not yet settled, which is what the upper-bound
+// pruning in core/search.cc relies on.
 //
 // The frontier is an indexed 4-ary heap (util/dary_heap.h): relaxations
 // decrease keys in place, so every pop settles a vertex and

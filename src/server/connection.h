@@ -70,6 +70,7 @@ class Connection {
 
   // --- fields owned by the server's orchestration (not by this class) ---
   TimerHeap::TimerId idle_timer = TimerHeap::kInvalidTimer;
+  int64_t last_read_ns = 0;  ///< EventLoop::NowNs() of the last read
   int inflight = 0;          ///< requests admitted and not yet responded
   bool close_after_flush = false;
 

@@ -90,12 +90,6 @@ TimerHeap::TimerId EventLoop::AddTimerAfterMs(double delay_ms,
   return timers_.Add(NowNs() + delay_ns, std::move(callback));
 }
 
-bool EventLoop::RescheduleTimerAfterMs(TimerHeap::TimerId id, double delay_ms) {
-  const int64_t delay_ns =
-      delay_ms > 0.0 ? static_cast<int64_t>(delay_ms * 1e6) : 0;
-  return timers_.Reschedule(id, NowNs() + delay_ns);
-}
-
 void EventLoop::Post(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(post_mu_);

@@ -63,7 +63,6 @@ class EventLoop {
   TimerHeap::TimerId AddTimerAfterMs(double delay_ms,
                                      std::function<void()> callback);
   bool CancelTimer(TimerHeap::TimerId id) { return timers_.Cancel(id); }
-  bool RescheduleTimerAfterMs(TimerHeap::TimerId id, double delay_ms);
 
   /// Enqueues `fn` to run on the loop thread and wakes the loop. The only
   /// safe way for worker threads to touch loop-owned state.

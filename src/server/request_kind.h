@@ -112,10 +112,12 @@ struct TripKind {
                               const UotsSearchOptions&, uint64_t salt) {
     return EncodeTripCacheKey(q, salt);
   }
+  /// The planner follows the server's one oracle switch.
   static std::unique_ptr<Engine> MakeEngine(const TrajectoryDatabase& db,
                                             Variant,
-                                            const UotsSearchOptions&) {
-    return std::make_unique<TripPlanner>(db);
+                                            const UotsSearchOptions& opts) {
+    return std::make_unique<TripPlanner>(db,
+                                         TripPlannerOptions{opts.use_oracle});
   }
   static Result<Output> Run(Engine& planner, const Query& q) {
     return planner.Plan(q);

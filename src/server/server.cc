@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -279,7 +280,11 @@ void UotsServer::OnAcceptReady() {
       ++counters_.connections_closed;
       continue;
     }
-    TouchIdleTimer(raw);
+    raw->last_read_ns = EventLoop::NowNs();
+    if (opts_.idle_timeout_ms > 0.0) {
+      ArmIdleTimer(raw, raw->last_read_ns +
+                            static_cast<int64_t>(opts_.idle_timeout_ms * 1e6));
+    }
   }
 }
 
@@ -337,7 +342,7 @@ void UotsServer::OnConnEvent(uint64_t conn_id, uint32_t events) {
   }
   if (events & EPOLLIN) {
     const Connection::IoResult r = conn->ReadAvailable();
-    TouchIdleTimer(conn);
+    conn->last_read_ns = EventLoop::NowNs();
     // Drain every complete frame before deciding whether to close: the
     // peer may have pipelined requests ahead of its half-close.
     for (;;) {
@@ -801,28 +806,29 @@ void UotsServer::UpdateWriteInterest(Connection* conn) {
   (void)loop_.SetEvents(conn->fd(), events);  // best effort
 }
 
-void UotsServer::TouchIdleTimer(Connection* conn) {
-  if (opts_.idle_timeout_ms <= 0.0) return;
-  if (conn->idle_timer != TimerHeap::kInvalidTimer) {
-    if (loop_.RescheduleTimerAfterMs(conn->idle_timer,
-                                     opts_.idle_timeout_ms)) {
-      return;
-    }
-    conn->idle_timer = TimerHeap::kInvalidTimer;
-  }
+void UotsServer::ArmIdleTimer(Connection* conn, int64_t deadline_ns) {
   const uint64_t id = conn->id();
   conn->idle_timer =
-      loop_.AddTimerAfterMs(opts_.idle_timeout_ms, [this, id] {
-        auto it = conns_.find(id);
-        if (it == conns_.end()) return;
-        it->second->idle_timer = TimerHeap::kInvalidTimer;
-        // Keep connections with work in flight alive; re-arm instead.
-        if (it->second->inflight > 0) {
-          TouchIdleTimer(it->second.get());
-          return;
-        }
-        CloseConnection(id);
-      });
+      loop_.AddTimerAt(deadline_ns, [this, id] { OnIdleTimer(id); });
+}
+
+void UotsServer::OnIdleTimer(uint64_t conn_id) {
+  Connection* conn = FindConn(conn_id);
+  if (conn == nullptr) return;
+  conn->idle_timer = TimerHeap::kInvalidTimer;
+  // Reads move the deadline to the last read plus the timeout, and work in
+  // flight keeps the connection for another full timeout. Both re-arm here
+  // rather than on every read, so a connection holds one heap node however
+  // often it reads.
+  const int64_t idle_ns = static_cast<int64_t>(opts_.idle_timeout_ms * 1e6);
+  const int64_t now = EventLoop::NowNs();
+  int64_t deadline = conn->last_read_ns + idle_ns;
+  if (conn->inflight > 0) deadline = std::max(deadline, now + idle_ns);
+  if (deadline > now) {
+    ArmIdleTimer(conn, deadline);
+    return;
+  }
+  CloseConnection(conn_id);
 }
 
 void UotsServer::CloseConnection(uint64_t conn_id) {

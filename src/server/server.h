@@ -66,7 +66,7 @@ struct ServerOptions {
   /// city file, "synthetic", ...).
   std::string dataset_source;
   /// Destination for delta compaction: base + delta are merged, written
-  /// here as a v1 snapshot (atomic tmp+fsync+rename), validated by a full
+  /// here as a v2 snapshot (atomic tmp+fsync+rename), validated by a full
   /// reload, and swapped in live. Empty disables compaction (POST /compact
   /// answers 409 and the drain skips the final fold).
   std::string compact_snapshot_path;
@@ -246,7 +246,11 @@ class UotsServer {
                  const std::string& request_id_str, ResponseStatus status,
                  const std::string& error);
   void UpdateWriteInterest(Connection* conn);
-  void TouchIdleTimer(Connection* conn);
+  /// Arms `conn`'s idle timer for `deadline_ns`.
+  void ArmIdleTimer(Connection* conn, int64_t deadline_ns);
+  /// The idle timer's callback: closes the connection, or re-arms the
+  /// timer when reads came in since it was armed or work is in flight.
+  void OnIdleTimer(uint64_t conn_id);
   void CloseConnection(uint64_t conn_id);
   void BeginShutdown();
   void MaybeFinishShutdown();

@@ -8,24 +8,15 @@ namespace uots {
 TimerHeap::TimerId TimerHeap::Add(int64_t deadline_ns,
                                   std::function<void()> callback) {
   const TimerId id = next_id_++;
-  const uint64_t seq = next_seq_++;
-  pending_.emplace(id, Pending{deadline_ns, seq, std::move(callback)});
-  PushNode(Node{deadline_ns, seq, id});
+  pending_.emplace(id, std::move(callback));
+  heap_.push_back(Node{deadline_ns, id});
+  std::push_heap(heap_.begin(), heap_.end(), Later);
   return id;
 }
 
 bool TimerHeap::Cancel(TimerId id) {
   // Lazy deletion: the heap node stays and is skipped when popped.
   return pending_.erase(id) > 0;
-}
-
-bool TimerHeap::Reschedule(TimerId id, int64_t deadline_ns) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return false;
-  it->second.deadline_ns = deadline_ns;
-  it->second.seq = next_seq_++;
-  PushNode(Node{deadline_ns, it->second.seq, id});  // old node goes stale
-  return true;
 }
 
 int64_t TimerHeap::NextDeadlineNs() {
@@ -44,17 +35,12 @@ int TimerHeap::RunExpired(int64_t now_ns) {
     // PruneTop guaranteed the node was live; extract before invoking so the
     // callback sees the timer as already fired (Cancel returns false) and
     // may re-arm the heap freely.
-    std::function<void()> cb = std::move(it->second.callback);
+    std::function<void()> cb = std::move(it->second);
     pending_.erase(it);
     cb();
     ++fired;
   }
   return fired;
-}
-
-void TimerHeap::PushNode(Node n) {
-  heap_.push_back(n);
-  std::push_heap(heap_.begin(), heap_.end(), Later);
 }
 
 void TimerHeap::PopNode() {
@@ -63,12 +49,7 @@ void TimerHeap::PopNode() {
 }
 
 void TimerHeap::PruneTop() {
-  while (!heap_.empty()) {
-    const Node& top = heap_.front();
-    auto it = pending_.find(top.id);
-    if (it != pending_.end() && it->second.seq == top.seq) return;  // live
-    PopNode();
-  }
+  while (!heap_.empty() && !pending_.contains(heap_.front().id)) PopNode();
 }
 
 }  // namespace uots

@@ -2,12 +2,12 @@
 //
 // One binary min-heap of (deadline, timer id) nodes drives every timed
 // behaviour in the server: per-connection idle timeouts, per-request
-// deadlines, and the shutdown drain fuse. Cancel and Reschedule use lazy
-// deletion — the live deadline for an id lives in a side map, and a popped
-// heap node counts only when it matches — so both are O(log n) pushes with
-// no heap surgery, the same trick the dary_heap's version tags play for
-// bulk reset. Not thread-safe: the owning event loop is single-threaded by
-// design, and cross-thread arming goes through EventLoop::Post.
+// deadlines, and the shutdown drain fuse. Cancel uses lazy deletion: the
+// callbacks of live timers sit in a side map keyed by id, and a heap node
+// whose id has left the map is dropped when it reaches the top, so a
+// cancel does no heap surgery. Ids are never reused, so a node names at
+// most one timer. Not thread-safe: the owning event loop is single-threaded
+// by design, and cross-thread arming goes through EventLoop::Post.
 
 #ifndef UOTS_SERVER_TIMER_HEAP_H_
 #define UOTS_SERVER_TIMER_HEAP_H_
@@ -19,7 +19,7 @@
 
 namespace uots {
 
-/// \brief Monotonic-deadline timer queue with cancel and reschedule.
+/// \brief Monotonic-deadline timer queue with cancel.
 class TimerHeap {
  public:
   using TimerId = uint64_t;
@@ -34,48 +34,38 @@ class TimerHeap {
   /// was cancelled, or never existed (kInvalidTimer included).
   bool Cancel(TimerId id);
 
-  /// Moves a pending timer to a new deadline, keeping its callback and id.
-  /// \return false when the id is not pending.
-  bool Reschedule(TimerId id, int64_t deadline_ns);
-
   /// Earliest pending deadline, or -1 when no timer is pending. Prunes
   /// cancelled nodes off the heap top as a side effect.
   int64_t NextDeadlineNs();
 
   /// Fires every timer with deadline <= `now_ns` in deadline order (ties by
-  /// creation order). A callback may Add/Cancel/Reschedule freely; timers
-  /// it adds that are already due fire in the same call. \return the number
-  /// of callbacks run.
+  /// creation order). A callback may Add/Cancel freely; timers it adds
+  /// that are already due fire in the same call. \return the number of
+  /// callbacks run.
   int RunExpired(int64_t now_ns);
 
   /// Timers armed and not yet fired or cancelled.
   size_t pending() const { return pending_.size(); }
+  /// Heap nodes, cancelled ones not yet pruned off the top included.
+  size_t nodes() const { return heap_.size(); }
 
  private:
   struct Node {
     int64_t deadline_ns;
-    uint64_t seq;  ///< creation order, the tie-break
-    TimerId id;
-  };
-  struct Pending {
-    int64_t deadline_ns;  ///< the live deadline; stale nodes mismatch
-    uint64_t seq;
-    std::function<void()> callback;
+    TimerId id;  ///< ids rise with creation order: the tie-break
   };
 
   static bool Later(const Node& a, const Node& b) {
     if (a.deadline_ns != b.deadline_ns) return a.deadline_ns > b.deadline_ns;
-    return a.seq > b.seq;
+    return a.id > b.id;
   }
-  void PushNode(Node n);
   void PopNode();
-  /// Drops stale (cancelled/rescheduled) nodes off the top.
+  /// Drops cancelled nodes off the top.
   void PruneTop();
 
-  std::vector<Node> heap_;  ///< binary min-heap by (deadline, seq)
-  std::unordered_map<TimerId, Pending> pending_;
+  std::vector<Node> heap_;  ///< binary min-heap by (deadline, id)
+  std::unordered_map<TimerId, std::function<void()>> pending_;
   TimerId next_id_ = 1;
-  uint64_t next_seq_ = 0;
 };
 
 }  // namespace uots

@@ -25,7 +25,8 @@ struct WriteOptions {
   int64_t created_unix_s = 0;
 };
 
-/// Writes `db` as a format-version-1 snapshot at `path` (atomic replace).
+/// Writes `db` as a kFormatVersion (2) snapshot at `path` (atomic
+/// replace); the oracle sections are empty when `db` carries no oracle.
 Status WriteSnapshot(const TrajectoryDatabase& db, const std::string& path,
                      const WriteOptions& opts = {});
 

@@ -39,67 +39,45 @@ void InsertBounded(std::vector<Partial>* list, Partial p, size_t k) {
 
 }  // namespace
 
-TripAssembler::TripAssembler(const RoadNetwork& g)
-    : g_(&g), dist_(g.NumVertices()), heap_(g.NumVertices()) {}
-
 void TripAssembler::FallbackDistances(VertexId source,
                                       std::span<const VertexId> targets,
                                       QueryStats* stats,
                                       std::vector<double>* out) {
   out->assign(targets.size(), kInfDistance);
-  // Count distinct unsettled targets via a temporary membership pass over
-  // the (<= 64-entry) target list; per-settle work is one binary probe.
+  // Distinct targets, sorted: per-settle work is one binary probe of this
+  // (<= 64-entry) list.
   std::vector<VertexId> distinct(targets.begin(), targets.end());
   std::sort(distinct.begin(), distinct.end());
   distinct.erase(std::unique(distinct.begin(), distinct.end()),
                  distinct.end());
   size_t remaining = distinct.size();
 
-  dist_.Reset();
-  heap_.Reset();
-  dist_.Set(source, 0.0);
-  heap_.Push(source, 0.0);
-  ++stats->heap_pushes;
-  while (!heap_.empty() && remaining > 0) {
-    const auto [d, v] = heap_.Pop();
-    ++stats->heap_pops;
-    ++stats->settled_vertices;
-    if (std::binary_search(distinct.begin(), distinct.end(), v)) {
-      --remaining;
-      for (size_t j = 0; j < targets.size(); ++j) {
-        if (targets[j] == v) (*out)[j] = d;
-      }
-    }
-    const auto neighbors = g_->Neighbors(v);
-    for (const auto& e : neighbors) dist_.Prefetch(e.to);
-    for (const auto& e : neighbors) {
-      const double old = dist_.Get(e.to);
-      const double nd = d + e.weight;
-      if (nd < old) {
-        dist_.Set(e.to, nd);
-        if (old == kInfDistance) {
-          heap_.Push(e.to, nd);
-          ++stats->heap_pushes;
-        } else {
-          heap_.DecreaseKey(e.to, nd);
-          ++stats->heap_decreases;
-        }
-      }
+  expansion_.Reset(source);
+  VertexId v = kInvalidVertex;
+  double d = 0.0;
+  while (remaining > 0 && expansion_.Step(&v, &d)) {
+    if (!std::binary_search(distinct.begin(), distinct.end(), v)) continue;
+    --remaining;
+    for (size_t j = 0; j < targets.size(); ++j) {
+      if (targets[j] == v) (*out)[j] = d;
     }
   }
+  stats->settled_vertices += expansion_.settled_count();
+  stats->heap_pops += expansion_.heap_pops();
+  stats->heap_pushes += expansion_.heap_pushes();
+  stats->heap_decreases += expansion_.heap_decreases();
 }
 
 void TripAssembler::DistanceMatrix(std::span<const VertexId> sources,
                                    std::span<const VertexId> targets,
-                                   DistanceProvider* provider,
-                                   QueryStats* stats,
+                                   OracleQuerier* oracle, QueryStats* stats,
                                    std::vector<std::vector<double>>* dist) {
   dist->assign(sources.size(), {});
-  if (provider != nullptr) {
-    provider->BeginQuery(sources);
+  if (oracle != nullptr) {
+    oracle->BeginQuery(sources);
     for (auto& row : *dist) row.resize(targets.size());
     for (size_t t = 0; t < targets.size(); ++t) {
-      const std::span<const double> col = provider->DistancesTo(targets[t]);
+      const std::span<const double> col = oracle->DistancesTo(targets[t]);
       for (size_t s = 0; s < sources.size(); ++s) (*dist)[s][t] = col[s];
     }
     return;
@@ -110,9 +88,8 @@ void TripAssembler::DistanceMatrix(std::span<const VertexId> sources,
 }
 
 double TripAssembler::PairDistance(VertexId s, VertexId t,
-                                   DistanceProvider* provider,
-                                   QueryStats* stats) {
-  if (provider != nullptr) return provider->Distance(s, t);
+                                   OracleQuerier* oracle, QueryStats* stats) {
+  if (oracle != nullptr) return oracle->Distance(s, t);
   const VertexId target[1] = {t};
   std::vector<double> d;
   FallbackDistances(s, target, stats, &d);
@@ -120,7 +97,7 @@ double TripAssembler::PairDistance(VertexId s, VertexId t,
 }
 
 std::vector<uint32_t> TripAssembler::VisitOrder(const TripQuery& q,
-                                                DistanceProvider* provider,
+                                                OracleQuerier* oracle,
                                                 QueryStats* stats) {
   const size_t m = q.locations.size();
   std::vector<uint32_t> order(m);
@@ -128,7 +105,7 @@ std::vector<uint32_t> TripAssembler::VisitOrder(const TripQuery& q,
   if (q.ordered || m <= 2) return order;  // NN from index 0 is identity at m=2
 
   std::vector<std::vector<double>> d;
-  DistanceMatrix(q.locations, q.locations, provider, stats, &d);
+  DistanceMatrix(q.locations, q.locations, oracle, stats, &d);
   std::vector<uint8_t> visited(m, 0);
   visited[0] = 1;
   uint32_t cur = 0;
@@ -150,14 +127,14 @@ std::vector<uint32_t> TripAssembler::VisitOrder(const TripQuery& q,
 
 void TripAssembler::Assemble(const TripQuery& q,
                              std::vector<std::vector<SegmentCandidate>> cands,
-                             DistanceProvider* provider, QueryStats* stats,
+                             OracleQuerier* oracle, QueryStats* stats,
                              std::vector<AssembledTrip>* out) {
   const size_t m = q.locations.size();
   for (const auto& c : cands) {
     if (c.empty()) return;  // a location with no reachable trajectory
   }
 
-  const std::vector<uint32_t> order = VisitOrder(q, provider, stats);
+  const std::vector<uint32_t> order = VisitOrder(q, oracle, stats);
 
   // Candidate lists in visit order, each canonically sorted by (traj,
   // begin) so DP pick indexes compare as id sequences.
@@ -194,7 +171,7 @@ void TripAssembler::Assemble(const TripQuery& q,
       entries.clear();
       for (const auto& seg : *C[p - 1]) exits.push_back(seg.exit);
       for (const auto& seg : *C[p]) entries.push_back(seg.entry);
-      DistanceMatrix(exits, entries, provider, stats, &conn);
+      DistanceMatrix(exits, entries, oracle, stats, &conn);
     }
     std::vector<std::vector<Partial>> next(C[p]->size());
     for (size_t c = 0; c < C[p]->size(); ++c) {
@@ -245,7 +222,7 @@ void TripAssembler::Assemble(const TripQuery& q,
     for (const Connector& c : connectors) {
       if (c.exit == exit && c.entry == entry) return c.m;
     }
-    const double d = PairDistance(exit, entry, provider, stats);
+    const double d = PairDistance(exit, entry, oracle, stats);
     connectors.push_back(Connector{exit, entry, d});
     return d;
   };

@@ -18,12 +18,14 @@
 //     and resolves ties by the lexicographically smallest (traj, begin)
 //     sequence.
 //
-// Connector distances come from the DistanceProvider when the database
-// carries an oracle, else from a local multi-target Dijkstra; the provider
-// contract makes the two bitwise identical, so answers do not depend on
-// which path ran. When no gap budget constrains the DP, connectors are
-// only computed for the k winning trips, and each distinct (exit, entry)
-// pair among them only once: the winners share segments.
+// Connector distances come from the CH oracle's querier when the database
+// carries an oracle, else from a NetworkExpansion (the resumable Dijkstra
+// the harvester and the UOTS searcher run) stepped until every target has
+// settled. The oracle's distances are bitwise those the expansion settles
+// (DESIGN §9), so answers do not depend on which path ran. When no gap
+// budget constrains the DP, connectors are only computed for the k winning
+// trips, and each distinct (exit, entry) pair among them only once: the
+// winners share segments.
 
 #ifndef UOTS_TRIP_ASSEMBLER_H_
 #define UOTS_TRIP_ASSEMBLER_H_
@@ -31,8 +33,8 @@
 #include <vector>
 
 #include "core/model.h"
-#include "net/dijkstra.h"
-#include "oracle/distance_provider.h"
+#include "net/expansion.h"
+#include "oracle/querier.h"
 #include "trip/harvester.h"
 #include "trip/trip_query.h"
 
@@ -41,40 +43,37 @@ namespace uots {
 /// \brief Per-engine assembly scratch (Dijkstra fallback state).
 class TripAssembler {
  public:
-  explicit TripAssembler(const RoadNetwork& g);
+  explicit TripAssembler(const RoadNetwork& g) : expansion_(g) {}
 
   /// \brief Assembles the top-k trips from `cands[i]` (candidates of
-  /// locations[i]). `provider` may be null (Dijkstra fallback; bitwise
+  /// locations[i]). `oracle` may be null (Dijkstra fallback; bitwise
   /// identical results). Appends nothing when any location has no
   /// candidates or no feasible stitch exists.
   void Assemble(const TripQuery& q,
                 std::vector<std::vector<SegmentCandidate>> cands,
-                DistanceProvider* provider, QueryStats* stats,
+                OracleQuerier* oracle, QueryStats* stats,
                 std::vector<AssembledTrip>* out);
 
  private:
   /// Deterministic visit order over location indices (see file comment).
-  std::vector<uint32_t> VisitOrder(const TripQuery& q,
-                                   DistanceProvider* provider,
+  std::vector<uint32_t> VisitOrder(const TripQuery& q, OracleQuerier* oracle,
                                    QueryStats* stats);
 
-  /// Exact sd(source, t) for every t in `targets`, into `*out`.
-  /// Multi-target Dijkstra with early exit once all targets settle.
+  /// Exact sd(source, t) for every t in `targets`, into `*out`: one
+  /// expansion from `source`, stopped once every target has settled.
   void FallbackDistances(VertexId source, std::span<const VertexId> targets,
                          QueryStats* stats, std::vector<double>* out);
 
-  /// dist[s][t] = sd(sources[s], targets[t]) via provider or fallback.
+  /// dist[s][t] = sd(sources[s], targets[t]) via oracle or fallback.
   void DistanceMatrix(std::span<const VertexId> sources,
-                      std::span<const VertexId> targets,
-                      DistanceProvider* provider, QueryStats* stats,
+                      std::span<const VertexId> targets, OracleQuerier* oracle,
+                      QueryStats* stats,
                       std::vector<std::vector<double>>* dist);
 
-  double PairDistance(VertexId s, VertexId t, DistanceProvider* provider,
+  double PairDistance(VertexId s, VertexId t, OracleQuerier* oracle,
                       QueryStats* stats);
 
-  const RoadNetwork* g_;
-  DistanceField dist_;
-  VertexHeap heap_;
+  NetworkExpansion expansion_;
 };
 
 }  // namespace uots

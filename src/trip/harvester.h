@@ -11,7 +11,7 @@
 // Harvesting never consults the distance oracle — candidate sets (and
 // therefore final answers) are identical with and without one attached;
 // the oracle only accelerates the assembler's connector distances, which
-// are bitwise equal to Dijkstra by the provider contract.
+// are bitwise those the same expansion would settle (DESIGN §9).
 
 #ifndef UOTS_TRIP_HARVESTER_H_
 #define UOTS_TRIP_HARVESTER_H_

@@ -12,7 +12,7 @@ TripPlanner::TripPlanner(const TrajectoryDatabase& db,
       harvester_(db.network()),
       assembler_(db.network()) {
   if (opts_.use_oracle && db.oracle() != nullptr) {
-    provider_ = MakeChProvider(*db.oracle());
+    oracle_ = std::make_unique<OracleQuerier>(*db.oracle());
   }
 }
 
@@ -49,12 +49,12 @@ Result<TripResult> TripPlanner::Plan(const TripQuery& query) {
 
   {
     ScopedPhase phase(&result.stats, QueryPhase::kTripAssemble);
-    assembler_.Assemble(query, std::move(cands), provider_.get(),
+    assembler_.Assemble(query, std::move(cands), oracle_.get(),
                         &result.stats, &result.trips);
   }
 
-  if (provider_ != nullptr) {
-    result.stats.oracle_lookups += provider_->TakeLookups();
+  if (oracle_ != nullptr) {
+    result.stats.oracle_lookups += oracle_->TakeLookups();
   }
   result.stats.elapsed_ms = timer.ElapsedMillis();
   return result;

@@ -4,10 +4,11 @@
 // query opts in), harvest candidate segments per location over the merged
 // base+delta view, assemble the k best connected trips, score with SimU.
 // Answers are deterministic bit-for-bit across oracle on/off (harvest
-// never touches the oracle; connector distances are bitwise identical by
-// the provider contract), result cache on/off (the cache stores the
-// planner's exact output), and pre/post-compaction (global trajectory ids
-// are stable across the base+delta -> base fold).
+// never touches the oracle; the oracle's connector distances are bitwise
+// those of the assembler's Dijkstra fallback, DESIGN §9), result cache
+// on/off (the cache stores the planner's exact output), and
+// pre/post-compaction (global trajectory ids are stable across the
+// base+delta -> base fold).
 
 #ifndef UOTS_TRIP_PLANNER_H_
 #define UOTS_TRIP_PLANNER_H_
@@ -17,7 +18,7 @@
 
 #include "core/database.h"
 #include "ingest/merged_view.h"
-#include "oracle/distance_provider.h"
+#include "oracle/querier.h"
 #include "trip/assembler.h"
 #include "trip/category_tree.h"
 #include "trip/harvester.h"
@@ -60,8 +61,9 @@ class TripPlanner {
   MergedView view_;
   SegmentHarvester harvester_;
   TripAssembler assembler_;
-  /// Oracle front-end for the assembler; null without an oracle.
-  std::unique_ptr<DistanceProvider> provider_;
+  /// Oracle queries for the assembler; null without an oracle (or with
+  /// opts_.use_oracle off).
+  std::unique_ptr<OracleQuerier> oracle_;
   const CancelToken* cancel_ = nullptr;
 };
 

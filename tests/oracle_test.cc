@@ -19,7 +19,6 @@
 #include "core/workload.h"
 #include "net/dijkstra.h"
 #include "net/generators.h"
-#include "oracle/distance_provider.h"
 #include "oracle/querier.h"
 #include "storage/crc32c.h"
 #include "traj/generator.h"

@@ -7,6 +7,7 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -623,6 +624,145 @@ TEST(ServerIntegrationTest, RequestsDuringDrainGetShuttingDown) {
         << ToString(resp->status);
   }
   fx.Stop();
+}
+
+// --- idle timeouts ---------------------------------------------------------
+
+/// A plain TCP connection to the query port (BlockingClient cannot watch
+/// for the server closing a connection it has sent nothing on).
+int ConnectRaw(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  EXPECT_EQ(
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  return fd;
+}
+
+/// True once the peer closes `fd` (recv returns 0) within `timeout_ms`.
+bool PeerClosesWithin(int fd, int timeout_ms) {
+  pollfd p{fd, POLLIN, 0};
+  if (::poll(&p, 1, timeout_ms) != 1) return false;
+  char byte;
+  return ::recv(fd, &byte, 1, 0) == 0;
+}
+
+TEST(ServerIntegrationTest, IdleConnectionIsClosedAfterTheTimeout) {
+  auto db = MakeTestDb();
+  ServerOptions opts;
+  opts.idle_timeout_ms = 100.0;
+  ServerFixture fx(*db, opts);
+
+  const auto start = std::chrono::steady_clock::now();
+  const int fd = ConnectRaw(fx.port());
+  EXPECT_TRUE(PeerClosesWithin(fd, 10000)) << "idle connection never closed";
+  const double waited_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  EXPECT_GE(waited_ms, opts.idle_timeout_ms) << "closed before the timeout";
+  ::close(fd);
+}
+
+TEST(ServerIntegrationTest, ReadsKeepAConnectionOpenPastSeveralTimeouts) {
+  auto db = MakeTestDb();
+  ServerOptions opts;
+  opts.idle_timeout_ms = 300.0;
+  ServerFixture fx(*db, opts);
+  const auto queries = MakeQueries(*db, 1);
+
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", fx.port()).ok());
+  // One request every timeout/3 for four timeouts: each read pushes the
+  // idle deadline out, so every call finds the connection open.
+  for (int i = 0; i < 12; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    QueryRequest req;
+    req.id = i;
+    req.query = queries[0];
+    auto resp = client.Call(req);
+    ASSERT_TRUE(resp.ok()) << "call " << i << ": " << resp.status().ToString();
+    EXPECT_TRUE(resp->ok()) << resp->error;
+  }
+}
+
+TEST(ServerIntegrationTest, RequestInFlightKeepsAnIdleConnectionOpen) {
+  auto db = MakeTestDb();
+  ServerOptions opts;
+  opts.idle_timeout_ms = 50.0;
+  opts.service.threads = 1;
+  std::atomic<bool> released{false};
+  ServerFixture fx(*db, opts);
+  const auto queries = MakeQueries(*db, 1);
+
+  // Occupy the only worker until released, so the wire request below stays
+  // admitted and queued (in flight) across several idle timeouts. The guard
+  // releases it on every exit path: a blocked worker would hang teardown.
+  struct Release {
+    std::atomic<bool>* flag;
+    ~Release() { *flag = true; }
+  } release{&released};
+  ASSERT_TRUE(fx.server().service().TryExecute(
+      queries[0], AlgorithmKind::kUots, nullptr, [&released](ExecutionResult) {
+        while (!released) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }));
+
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", fx.port()).ok());
+  QueryRequest req;
+  req.id = 1;
+  req.query = queries[0];
+  ASSERT_TRUE(client.Send(req).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  released = true;
+
+  auto resp = client.Receive();
+  ASSERT_TRUE(resp.ok()) << "connection closed with a request in flight: "
+                         << resp.status().ToString();
+  EXPECT_TRUE(resp->ok()) << resp->error;
+}
+
+TEST(ServerIntegrationTest, ReadsDoNotGrowTheTimerHeap) {
+  // An armed timer due before the idle timeout (the compaction tick) sits
+  // at the heap top for the whole run. Thousands of reads on one connection
+  // must still leave one heap node per connection and armed timer, not one
+  // per read.
+  auto db = MakeTestDb();
+  ServerOptions opts;
+  opts.service.cache_max_entries = 8;
+  opts.compact_snapshot_path = ::testing::TempDir() + "uots-timer-heap.snap";
+  opts.compact_interval_ms = 30000.0;  // before the 60 s idle timeout
+  ServerFixture fx(*db, opts);
+  const auto queries = MakeQueries(*db, 1);
+
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", fx.port()).ok());
+  constexpr int kReads = 3000;
+  for (int i = 0; i < kReads; ++i) {
+    QueryRequest req;
+    req.id = i;
+    req.query = queries[0];
+    auto resp = client.Call(req);  // a cache hit after the first
+    ASSERT_TRUE(resp.ok() && resp->ok()) << "call " << i;
+  }
+
+  struct HeapSize {
+    size_t nodes;
+    size_t pending;
+  };
+  std::promise<HeapSize> size;
+  EventLoop& loop = fx.server().loop();
+  loop.Post([&] {
+    size.set_value(HeapSize{loop.timers().nodes(), loop.timers().pending()});
+  });
+  const HeapSize heap = size.get_future().get();
+  EXPECT_EQ(heap.pending, 2u) << "the idle timer and the compaction tick";
+  EXPECT_LE(heap.nodes, heap.pending + 2) << "heap nodes after " << kReads
+                                          << " reads";
 }
 
 // --- admin plane -----------------------------------------------------------

@@ -52,33 +52,6 @@ TEST(TimerHeapTest, CancelInvalidIdIsHarmless) {
   EXPECT_FALSE(heap.Cancel(12345));
 }
 
-TEST(TimerHeapTest, RescheduleMovesDeadline) {
-  TimerHeap heap;
-  std::vector<int> fired;
-  const TimerHeap::TimerId a = heap.Add(100, [&] { fired.push_back(1); });
-  heap.Add(150, [&] { fired.push_back(2); });
-
-  EXPECT_TRUE(heap.Reschedule(a, 500));
-  EXPECT_EQ(heap.RunExpired(200), 1);  // only the 150 timer
-  EXPECT_EQ(fired, (std::vector<int>{2}));
-  EXPECT_EQ(heap.RunExpired(500), 1);
-  EXPECT_EQ(fired, (std::vector<int>{2, 1}));
-  EXPECT_FALSE(heap.Reschedule(a, 900)) << "fired timers cannot reschedule";
-}
-
-TEST(TimerHeapTest, RescheduleEarlierFiresEarlier) {
-  TimerHeap heap;
-  int fired = 0;
-  const TimerHeap::TimerId a = heap.Add(1000, [&] { ++fired; });
-  EXPECT_TRUE(heap.Reschedule(a, 50));
-  EXPECT_EQ(heap.NextDeadlineNs(), 50);
-  EXPECT_EQ(heap.RunExpired(60), 1);
-  EXPECT_EQ(fired, 1);
-  // The stale node for deadline 1000 must not re-fire.
-  EXPECT_EQ(heap.RunExpired(2000), 0);
-  EXPECT_EQ(fired, 1);
-}
-
 TEST(TimerHeapTest, CallbackMayReArm) {
   TimerHeap heap;
   int fired = 0;

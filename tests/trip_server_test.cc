@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "net/generators.h"
+#include "oracle/ch_oracle.h"
 #include "server/client.h"
 #include "server/http.h"
 #include "server/server.h"
@@ -207,6 +208,50 @@ TEST(TripServerTest, CacheOnOffServesIdenticalBits) {
 
   server.RequestShutdown();
   loop.join();
+}
+
+TEST(TripServerTest, OracleOffServerPlansTripsWithoutTheOracle) {
+  // The server's one oracle switch covers trips as well as retrieval: off,
+  // a trip never consults the snapshot's oracle, and its answer is bit for
+  // bit the oracle-on server's.
+  const RoadNetwork net = MakeNet();
+  auto db = MakeDb(net, 150, 22);
+  auto oracle = DistanceOracle::Build(db->network());
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  db->AttachOracle(std::make_shared<const DistanceOracle>(std::move(*oracle)));
+  const auto queries = MakeQueries(*db, 4);
+
+  std::vector<TripResponse> replies[2];  // [0] oracle on, [1] oracle off
+  for (const bool use_oracle : {true, false}) {
+    ServerOptions opts;
+    opts.port = 0;
+    opts.service.threads = 1;
+    opts.service.uots.use_oracle = use_oracle;
+    UotsServer server(std::shared_ptr<const TrajectoryDatabase>(db), opts);
+    ASSERT_TRUE(server.Start().ok());
+    std::thread loop([&] { server.Run(); });
+    BlockingClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      TripRequest req;
+      req.id = static_cast<int64_t>(i);
+      req.query = queries[i];
+      auto resp = client.Call(req);
+      ASSERT_TRUE(resp.ok() && resp->ok()) << resp.status().ToString();
+      replies[use_oracle ? 0 : 1].push_back(std::move(*resp));
+    }
+    server.RequestShutdown();
+    loop.join();
+  }
+
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const TripResponse& on = replies[0][i];
+    const TripResponse& off = replies[1][i];
+    EXPECT_GT(on.stats.oracle_lookups, 0) << "query " << i;
+    EXPECT_EQ(off.stats.oracle_lookups, 0) << "query " << i;
+    EXPECT_FALSE(off.trips.empty()) << "query " << i;
+    EXPECT_TRUE(on.trips == off.trips) << "query " << i;
+  }
 }
 
 /// One admin-plane fetch; fails the test on transport errors.

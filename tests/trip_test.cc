@@ -327,6 +327,41 @@ TEST(TripTest, OracleOnOffIsBitIdentical) {
     EXPECT_GT(a->stats.oracle_lookups + b->stats.oracle_lookups, 0)
         << "query " << i;
   }
+
+  // A gap budget makes the DP fill a whole exit x entry connector matrix
+  // per position. Half the longest winning connector of the unlimited run
+  // prunes that winner's stitch; across the queries some bounded runs must
+  // still assemble trips, so the budget prunes some stitches but not all.
+  int pruned = 0;
+  int assembled = 0;
+  for (const bool ordered : {false, true}) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      TripQuery q = queries[i];
+      q.ordered = ordered;
+      auto open = dijkstra_planner.Plan(q);
+      ASSERT_TRUE(open.ok()) << open.status().ToString();
+      double longest = 0.0;
+      for (const AssembledTrip& trip : open->trips) {
+        for (const TripSegment& s : trip.segments) {
+          longest = std::max(longest, s.connector_m);
+        }
+      }
+      if (longest == 0.0) continue;
+      q.gap_budget_m = longest / 2.0;
+      auto a = oracle_planner.Plan(q);
+      auto b = dijkstra_planner.Plan(q);
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      ASSERT_TRUE(b.ok()) << b.status().ToString();
+      EXPECT_TRUE(a->trips == b->trips)
+          << "query " << i << " ordered=" << ordered;
+      EXPECT_GT(a->stats.oracle_lookups, 0) << "query " << i;
+      EXPECT_EQ(b->stats.oracle_lookups, 0) << "query " << i;
+      if (!(b->trips == open->trips)) ++pruned;
+      if (!b->trips.empty()) ++assembled;
+    }
+  }
+  EXPECT_GT(pruned, 0) << "no budget pruned a winning stitch";
+  EXPECT_GT(assembled, 0) << "every budget pruned every stitch";
 }
 
 TEST(TripTest, SharedConnectorsAreResolvedOnce) {

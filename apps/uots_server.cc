@@ -13,9 +13,8 @@
 // and serves length-prefixed JSON queries until SIGINT/SIGTERM, which
 // trigger a graceful drain: the listener closes, in-flight requests finish,
 // buffered responses flush, and the process exits 0 after printing every
-// counter (read from its owner, as /metrics does) and the latency
-// histograms (server.request_latency / server.queue_wait / server.execute
-// percentiles).
+// counter and latency histogram (read from its owner, as /metrics does;
+// one "<family>: n=.. mean=.. p50=.." line per histogram).
 
 #include <sys/epoll.h>
 #include <sys/signalfd.h>
@@ -33,7 +32,6 @@
 #include "common/datasets.h"
 #include "server/server.h"
 #include "storage/resolver.h"
-#include "util/metrics.h"
 
 namespace {
 
@@ -322,7 +320,10 @@ int main(int argc, char** argv) {
         static_cast<long long>(s.evictions), static_cast<long long>(s.entries),
         static_cast<long long>(s.bytes));
   }
-  std::printf("--- metrics ---\n%s",
-              uots::MetricsRegistry::Global().ToString().c_str());
+  std::printf("--- metrics ---\n");
+  const uots::ServerHistograms& h = server.histograms();
+  for (const uots::ServerHistogramField& f : uots::ServerHistogramFields()) {
+    std::printf("%s: %s\n", f.family, (h.*f.member).ToString().c_str());
+  }
   return 0;
 }

@@ -16,7 +16,6 @@
 #include "core/pairs.h"
 #include "traj/simplify.h"
 #include "util/histogram.h"
-#include "util/metrics.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -64,11 +63,9 @@ void Run() {
     PairJoinOptions opts;
     opts.theta = theta;
     opts.threads = 4;
-    // The join merges its per-search latencies into the global registry;
-    // clearing first makes the snapshot below per-theta.
-    MetricsRegistry::Global().Clear();
+    LatencyHistogram lat;  // one sample per per-trajectory search
     WallTimer timer;
-    auto pairs = FindSimilarPairs(db, opts);
+    auto pairs = FindSimilarPairs(db, opts, &lat);
     const double secs = timer.ElapsedSeconds();
     if (!pairs.ok()) {
       std::fprintf(stderr, "join failed: %s\n",
@@ -83,8 +80,6 @@ void Run() {
                     FormatDouble(static_cast<double>(recovered) / dup_count, 2),
                     FormatDouble(secs, 2),
                     FormatDouble(db.store().size() / secs, 0)});
-    const LatencyHistogram lat =
-        MetricsRegistry::Global().Get("pairs.search_latency");
     report.AddRow()
         .Set("theta", theta)
         .Set("pairs", static_cast<int64_t>(pairs->size()))

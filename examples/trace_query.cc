@@ -7,15 +7,13 @@
 // Open the file in chrome://tracing or https://ui.perfetto.dev to see the
 // nested phase spans (textual filter, expansion rounds, bound
 // maintenance, scheduling, refinement) per engine. Also prints the
-// per-phase wall-time breakdown from QueryStats and the process-wide
-// latency histograms from MetricsRegistry.
+// per-phase wall-time breakdown from QueryStats.
 
 #include <cstdio>
 
 #include "core/algorithm.h"
 #include "net/generators.h"
 #include "traj/generator.h"
-#include "util/metrics.h"
 #include "util/trace.h"
 
 int main(int argc, char** argv) {
@@ -60,16 +58,10 @@ int main(int argc, char** argv) {
                    result.status().ToString().c_str());
       return 1;
     }
-    MetricsRegistry::Global().Record(
-        std::string("engine.") + ToString(kind),
-        static_cast<int64_t>(result->stats.elapsed_ms * 1e6));
     std::printf("%-14s %s\n", ToString(kind),
                 result->stats.ToString().c_str());
   }
   Trace::Stop();
-
-  std::printf("\nmetrics registry:\n%s",
-              MetricsRegistry::Global().ToString().c_str());
 
   const size_t events = Trace::Snapshot().size();
   if (!Trace::WriteChromeJson(out_path)) {

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "util/metrics.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 #include "util/trace.h"
@@ -111,7 +110,6 @@ BatchResult RunBatchDetailed(const TrajectoryDatabase& db,
     out.total += out.shards[s].stats;
     out.latency.Merge(shard_hist[s]);
   }
-  MetricsRegistry::Global().Merge("batch.query_latency", out.latency);
 
   // Overall status: the first real error wins (kCancelled shards are
   // collateral, kDeadlineExceeded is reported batch-wide with counts).

@@ -101,17 +101,16 @@ struct BatchResult {
 /// kCancelled shard status, distinct from the failing shard's own error.
 /// With BatchOptions::deadline_ms set, expiry stops all shards with
 /// kDeadlineExceeded instead. Either way every completed query's latency
-/// and stats are merged (into the result and MetricsRegistry's
-/// "batch.query_latency") — partial work is reported, not dropped.
+/// and stats are merged into the result (BatchResult::latency and total)
+/// — partial work is reported, not dropped.
 BatchResult RunBatchDetailed(const TrajectoryDatabase& db,
                              const std::vector<UotsQuery>& queries,
                              const BatchOptions& opts);
 
 /// Runs `queries` against `db`; fails on the first invalid query. The
 /// failing query's workload index is prepended to the error message.
-/// Latencies are also merged into MetricsRegistry::Global() under
-/// "batch.query_latency". Thin wrapper over RunBatchDetailed that turns a
-/// non-OK BatchResult::status into an error Result.
+/// Thin wrapper over RunBatchDetailed that turns a non-OK
+/// BatchResult::status into an error Result.
 Result<BatchResult> RunBatch(const TrajectoryDatabase& db,
                              const std::vector<UotsQuery>& queries,
                              const BatchOptions& opts);

@@ -5,7 +5,6 @@
 
 #include "core/search.h"
 #include "util/histogram.h"
-#include "util/metrics.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 
@@ -37,8 +36,9 @@ UotsQuery MakePairQuery(const TrajectoryDatabase& db, TrajId id,
   return q;
 }
 
-Result<std::vector<SimilarPair>> FindSimilarPairs(const TrajectoryDatabase& db,
-                                                  const PairJoinOptions& opts) {
+Result<std::vector<SimilarPair>> FindSimilarPairs(
+    const TrajectoryDatabase& db, const PairJoinOptions& opts,
+    LatencyHistogram* search_latency) {
   if (opts.threads < 1) return Status::InvalidArgument("threads must be >= 1");
   if (opts.lambda < 0.0 || opts.lambda > 1.0) {
     return Status::InvalidArgument("lambda must be in [0,1]");
@@ -83,9 +83,9 @@ Result<std::vector<SimilarPair>> FindSimilarPairs(const TrajectoryDatabase& db,
       Status st = f.get();
       if (!st.ok()) return st;
     }
-    LatencyHistogram merged;
-    for (const auto& h : shard_hist) merged.Merge(h);
-    MetricsRegistry::Global().Merge("pairs.search_latency", merged);
+    if (search_latency != nullptr) {
+      for (const auto& h : shard_hist) search_latency->Merge(h);
+    }
   }
 
   // Phase 2: merge — keep pairs that qualified in both directions.

@@ -22,6 +22,7 @@
 
 #include "core/database.h"
 #include "core/query.h"
+#include "util/histogram.h"
 
 namespace uots {
 
@@ -49,8 +50,11 @@ UotsQuery MakePairQuery(const TrajectoryDatabase& db, TrajId id,
                         const PairJoinOptions& opts);
 
 /// \brief Finds all mutually-similar trajectory pairs; descending score.
-Result<std::vector<SimilarPair>> FindSimilarPairs(const TrajectoryDatabase& db,
-                                                  const PairJoinOptions& opts);
+/// When `search_latency` is non-null, the join records one sample per
+/// per-trajectory threshold search into it (merged from the workers).
+Result<std::vector<SimilarPair>> FindSimilarPairs(
+    const TrajectoryDatabase& db, const PairJoinOptions& opts,
+    LatencyHistogram* search_latency = nullptr);
 
 }  // namespace uots
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <utility>
 
 namespace uots {
@@ -63,7 +62,6 @@ DeltaIndex::DeltaIndex(uint64_t generation, TrajId base_count,
     const TrajId global = base_count_ + static_cast<TrajId>(i);
     for (const Sample& s : trips[i].samples) {
       vertex_pairs.emplace_back(static_cast<uint32_t>(s.vertex), global);
-      timeline_.push_back(TimeIndex::Entry{s.time_s, global});
     }
     for (TermId t : trips[i].keywords.terms()) {
       term_pairs.emplace_back(static_cast<uint32_t>(t), global);
@@ -73,11 +71,6 @@ DeltaIndex::DeltaIndex(uint64_t generation, TrajId base_count,
               &vertex_postings_.offsets, &vertex_postings_.entries);
   BuildSparse(std::move(term_pairs), &keyword_postings_.keys,
               &keyword_postings_.offsets, &keyword_postings_.entries);
-  std::sort(timeline_.begin(), timeline_.end(),
-            [](const TimeIndex::Entry& a, const TimeIndex::Entry& b) {
-              return a.time_s != b.time_s ? a.time_s < b.time_s
-                                          : a.traj < b.traj;
-            });
 }
 
 std::span<const TrajId> DeltaIndex::TrajectoriesAt(VertexId v) const {
@@ -106,42 +99,23 @@ void DeltaIndex::ScoreCandidates(const KeywordSet& query,
     }
   }
 
-  // Identical per-measure arithmetic to InvertedKeywordIndex — same
-  // operand types, same operation order — so merged scores are bitwise
-  // equal to a monolithic rebuild's.
-  const double qsize = static_cast<double>(query.size());
+  // The same TextualSimilarity::ScoreCounts formula the base index uses,
+  // so merged scores are bitwise equal to a monolithic rebuild's. (Ingest
+  // refuses kWeighted models, whose idf depends on global document
+  // frequencies a delta cannot reproduce; Score keeps the method total.)
+  const bool weighted = sim.measure() == TextualMeasure::kWeighted;
   for (TrajId local : touched) {
-    const double inter = count[local];
-    const double dsize = static_cast<double>(store_.KeywordsOf(local).size());
-    double score = 0.0;
-    switch (sim.measure()) {
-      case TextualMeasure::kJaccard:
-        score = inter / (qsize + dsize - inter);
-        break;
-      case TextualMeasure::kDice:
-        score = 2.0 * inter / (qsize + dsize);
-        break;
-      case TextualMeasure::kOverlap:
-        score = inter / std::min(qsize, dsize);
-        break;
-      case TextualMeasure::kCosine:
-        score = inter / std::sqrt(qsize * dsize);
-        break;
-      case TextualMeasure::kWeighted:
-        // Ingest refuses kWeighted models (idf depends on global document
-        // frequencies, which a delta cannot reproduce); scoring directly
-        // keeps the method total for completeness.
-        score = sim.Score(query, store_.KeywordsOf(local));
-        break;
-    }
-    out->push_back(ScoredDoc{base_count_ + local, score});
+    const KeywordSet& doc = store_.KeywordsOf(local);
+    out->push_back(ScoredDoc{
+        base_count_ + local,
+        weighted ? sim.Score(query, doc)
+                 : sim.ScoreCounts(count[local], query.size(), doc.size())});
   }
 }
 
 size_t DeltaIndex::MemoryUsage() const {
   return store_.Memory().total() + vertex_postings_.bytes() +
-         keyword_postings_.bytes() +
-         timeline_.capacity() * sizeof(TimeIndex::Entry);
+         keyword_postings_.bytes();
 }
 
 }  // namespace uots

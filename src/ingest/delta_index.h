@@ -33,7 +33,6 @@
 #include "text/keyword_set.h"
 #include "text/similarity.h"
 #include "traj/store.h"
-#include "traj/time_index.h"
 #include "traj/trajectory.h"
 
 namespace uots {
@@ -69,21 +68,14 @@ class DeltaIndex {
   /// \brief Scores every delta trajectory sharing >= 1 term with `query`,
   /// appending {global id, SimT} to `out`.
   ///
-  /// Replicates InvertedKeywordIndex::ScoreCandidates arithmetic exactly
-  /// (same double-count formulas in the same order), so a delta doc's
-  /// score is bitwise equal to what a rebuilt monolithic index would
-  /// produce for the same trip. Uses per-call scratch: safe to call from
-  /// concurrent query threads on the shared published index.
+  /// Scores through TextualSimilarity::ScoreCounts, as
+  /// InvertedKeywordIndex::ScoreCandidates does, so a delta doc's score is
+  /// bitwise equal to what a rebuilt monolithic index would produce for
+  /// the same trip. Uses per-call scratch: safe to call from concurrent
+  /// query threads on the shared published index.
   void ScoreCandidates(const KeywordSet& query, const TextualSimilarity& sim,
                        std::vector<ScoredDoc>* out,
                        int64_t* posting_entries = nullptr) const;
-
-  /// Sorted (time_s, global id) timeline of delta samples — mirrors
-  /// TimeIndex's invariant. No merged engine consumes it today (the
-  /// temporal extension in core/temporal.h is base-only; see DESIGN.md
-  /// §11), but keeping it sealed per generation means compaction and the
-  /// invariant tests can treat base and delta uniformly.
-  std::span<const TimeIndex::Entry> timeline() const { return timeline_; }
 
   /// Approximate heap bytes held by this index.
   size_t MemoryUsage() const;
@@ -108,7 +100,6 @@ class DeltaIndex {
   TrajectoryStore store_;
   SparsePostings vertex_postings_;
   SparsePostings keyword_postings_;
-  std::vector<TimeIndex::Entry> timeline_;
 };
 
 }  // namespace uots

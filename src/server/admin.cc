@@ -10,16 +10,15 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "server/json.h"
 #include "server/server.h"
-#include "util/metrics.h"
 
 namespace uots {
 
@@ -50,20 +49,6 @@ void SlowQueryLog::Add(SlowLogEntry entry) {
 
 // ---------------------------------------------------------------------------
 // Prometheus rendering
-
-namespace promtext {
-
-std::string MangleMetricName(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
-  for (const char c : name) {
-    const bool ok = std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-    out.push_back(ok ? c : '_');
-  }
-  return out;
-}
-
-}  // namespace promtext
 
 namespace {
 
@@ -100,26 +85,25 @@ void AppendIntSample(std::string* out, std::string_view series,
   out->push_back('\n');
 }
 
-void AppendHistogramFamily(std::string* out, const std::string& base,
-                           const HistogramSnapshot& snap) {
-  const std::string family = base + "_seconds";
+void AppendHistogramFamily(std::string* out, std::string_view base,
+                           const LatencyHistogram& h) {
+  const std::string family = std::string(base) + "_seconds";
   out->append("# TYPE ").append(family).append(" histogram\n");
   for (const LeBucket& b : kLeLadder) {
     out->append(family)
         .append("_bucket{le=\"")
         .append(b.label)
         .append("\"} ")
-        .append(std::to_string(snap.CumulativeCountLe(b.ns)))
+        .append(std::to_string(h.CumulativeCountLe(b.ns)))
         .push_back('\n');
   }
   out->append(family).append("_bucket{le=\"+Inf\"} ").append(
-      std::to_string(snap.count));
+      std::to_string(h.count()));
   out->push_back('\n');
-  AppendSample(out, family + "_sum",
-               static_cast<double>(snap.sum_ns) / 1e9);
-  AppendIntSample(out, family + "_count", snap.count);
+  AppendSample(out, family + "_sum", static_cast<double>(h.sum_ns()) / 1e9);
+  AppendIntSample(out, family + "_count", h.count());
 
-  const std::string qfamily = base + "_quantile_seconds";
+  const std::string qfamily = std::string(base) + "_quantile_seconds";
   out->append("# TYPE ").append(qfamily).append(" gauge\n");
   constexpr struct {
     const char* label;
@@ -129,7 +113,7 @@ void AppendHistogramFamily(std::string* out, const std::string& base,
   for (const auto& q : kQuantiles) {
     AppendSample(out,
                  qfamily + "{quantile=\"" + q.label + "\"}",
-                 static_cast<double>(snap.PercentileNs(q.p)) / 1e9);
+                 static_cast<double>(h.PercentileNs(q.p)) / 1e9);
   }
 }
 
@@ -506,12 +490,11 @@ std::string AdminPlane::RenderHealthz(int* status) const {
 std::string AdminPlane::RenderMetrics() const {
   std::string out;
   out.reserve(8192);
-  for (const auto& [name, snap] : MetricsRegistry::Global().SnapshotAll()) {
-    AppendHistogramFamily(&out, "uots_" + promtext::MangleMetricName(name),
-                          snap);
+  // Every series is read from the object that owns it, at render time.
+  const ServerHistograms& h = server_->histograms();
+  for (const ServerHistogramField& f : ServerHistogramFields()) {
+    AppendHistogramFamily(&out, f.family, h.*f.member);
   }
-
-  // Counters and gauges: read from the objects that own them, at render time.
   const ServerCounters& c = server_->counters();
   for (const ServerCounterField& f : ServerCounterFields()) {
     AppendCounter(&out, f.series, c.*f.member);

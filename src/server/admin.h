@@ -9,10 +9,10 @@
 // measurable — see EXPERIMENTS.md M4.
 //
 // Endpoints (HTTP/1.0, one request per connection, Connection: close):
-//   GET  /metrics      Prometheus text: every MetricsRegistry histogram
-//                      (quantiles + cumulative buckets), then counters and
-//                      gauges read from their owners as the page renders:
-//                      the reactor's ServerCounters (ServerCounterFields),
+//   GET  /metrics      Prometheus text, every series read from its owner
+//                      as the page renders: the server's histograms
+//                      (ServerHistogramFields; cumulative buckets and
+//                      quantiles), its ServerCounters (ServerCounterFields),
 //                      the service's oracle totals, the result cache's
 //                      stats, the ingestor's tallies, and liveness gauges.
 //   GET  /statusz      JSON: uptime, build info, dataset fingerprint and
@@ -39,7 +39,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "server/http.h"
@@ -183,14 +182,6 @@ class AdminPlane {
 
 /// Wall-clock milliseconds since the unix epoch (slow-log timestamps).
 int64_t SlowLogNowUnixMs();
-
-namespace promtext {
-
-/// "server.request_latency" -> "uots_server_request_latency" (dots and
-/// other non-[a-zA-Z0-9_] bytes become underscores).
-std::string MangleMetricName(std::string_view name);
-
-}  // namespace promtext
 
 }  // namespace uots
 

@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "util/metrics.h"
+#include "server/server.h"
 
 namespace uots {
 
@@ -33,13 +33,12 @@ std::string RetrievalKind::Summarize(const Query& q, Variant v) {
   return out;
 }
 
-void TripKind::RecordPhases(const Status& status, const Output& out,
-                            double execute_ms) {
-  auto& reg = MetricsRegistry::Global();
-  reg.Record("trip.plan", static_cast<int64_t>(execute_ms * 1e6));
+void TripKind::RecordPhases(ServerHistograms& h, const Status& status,
+                            const Output& out, double execute_ms) {
+  h.trip_plan.Record(static_cast<int64_t>(execute_ms * 1e6));
   if (status.ok()) {
-    reg.Record("trip.harvest", out.stats.PhaseNs(QueryPhase::kTripHarvest));
-    reg.Record("trip.assemble", out.stats.PhaseNs(QueryPhase::kTripAssemble));
+    h.trip_harvest.Record(out.stats.PhaseNs(QueryPhase::kTripHarvest));
+    h.trip_assemble.Record(out.stats.PhaseNs(QueryPhase::kTripAssemble));
   }
 }
 

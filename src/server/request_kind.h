@@ -13,7 +13,7 @@
 //   - building and running a pooled engine (which engine: the Variant);
 //   - where its answer sits in an engine output, a cache entry and a reply;
 //   - its slow-log name, query summary and segment count, and any
-//     per-kind histograms recorded after execution.
+//     per-kind histograms the server records when an execution completes.
 //
 // Everything else — drain, request id, cache probe and hit reply, deadline,
 // trace sampling, admission, overload and shutdown replies, completion,
@@ -34,6 +34,8 @@
 #include "trip/planner.h"
 
 namespace uots {
+
+struct ServerHistograms;  // server/server.h
 
 /// \brief Top-k retrieval of whole trajectories ranked by SimU.
 struct RetrievalKind {
@@ -75,7 +77,8 @@ struct RetrievalKind {
   static Result<Output> Run(Engine& engine, const Query& q) {
     return engine.Search(q);
   }
-  static void RecordPhases(const Status&, const Output&, double) {}
+  static void RecordPhases(ServerHistograms&, const Status&, const Output&,
+                           double) {}
 
   static const char* Name(Variant v) { return ToString(v); }
   /// "locs=.. kw=.. lambda=.. k=.. algo=.." for the slow log.
@@ -122,10 +125,10 @@ struct TripKind {
   static Result<Output> Run(Engine& planner, const Query& q) {
     return planner.Plan(q);
   }
-  /// trip.plan (the execute time), plus trip.harvest and trip.assemble
-  /// when the plan succeeded.
-  static void RecordPhases(const Status& status, const Output& out,
-                           double execute_ms);
+  /// Records trip_plan (the execute time), plus trip_harvest and
+  /// trip_assemble when the plan succeeded (loop thread).
+  static void RecordPhases(ServerHistograms& h, const Status& status,
+                           const Output& out, double execute_ms);
 
   static const char* Name(Variant) { return "TRIP"; }
   /// "trip locs=.. kw=.. lambda=.. k=.. ordered=.. cat=.. [gap=..]".

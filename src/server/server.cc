@@ -19,7 +19,6 @@
 #include "cache/distance_field_cache.h"
 #include "storage/resolver.h"
 #include "storage/snapshot_writer.h"
-#include "util/metrics.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
@@ -53,14 +52,6 @@ int64_t& RequestTally(ServerCounters& c, const QueryRequest&) {
 }
 int64_t& RequestTally(ServerCounters& c, const TripRequest&) {
   return c.trip_requests;
-}
-
-/// Records the one server.request_latency sample of a request that arrived
-/// at `arrival_ns`, as its reply is sent — by the cache-hit path, the
-/// completion or the deadline timer, whichever answers it.
-void RecordLatency(int64_t arrival_ns) {
-  MetricsRegistry::Global().Record("server.request_latency",
-                                   EventLoop::NowNs() - arrival_ns);
 }
 
 /// An ok reply of query kind `Kind` carrying `body` (copied from a cache
@@ -128,10 +119,29 @@ static_assert(std::size(kCounterFields) * sizeof(int64_t) ==
                   sizeof(ServerCounters),
               "every ServerCounters member needs a kCounterFields row");
 
+constexpr ServerHistogramField kHistogramFields[] = {
+    {"uots_server_cache_lookup", &ServerHistograms::cache_lookup},
+    {"uots_server_execute", &ServerHistograms::execute},
+    {"uots_server_ingest_apply", &ServerHistograms::ingest_apply},
+    {"uots_server_ingest_compact_build", &ServerHistograms::compact_build},
+    {"uots_server_queue_wait", &ServerHistograms::queue_wait},
+    {"uots_server_request_latency", &ServerHistograms::request_latency},
+    {"uots_trip_assemble", &ServerHistograms::trip_assemble},
+    {"uots_trip_harvest", &ServerHistograms::trip_harvest},
+    {"uots_trip_plan", &ServerHistograms::trip_plan},
+};
+static_assert(std::size(kHistogramFields) * sizeof(LatencyHistogram) ==
+                  sizeof(ServerHistograms),
+              "every ServerHistograms member needs a kHistogramFields row");
+
 }  // namespace
 
 std::span<const ServerCounterField> ServerCounterFields() {
   return kCounterFields;
+}
+
+std::span<const ServerHistogramField> ServerHistogramFields() {
+  return kHistogramFields;
 }
 
 UotsServer::UotsServer(std::shared_ptr<const TrajectoryDatabase> db,
@@ -474,8 +484,7 @@ void UotsServer::HandleIngest(Connection* conn, uint64_t seq,
   resp.delta_trajectories =
       static_cast<int64_t>(ingestor_.delta_trajectories());
   Send(conn, seq, resp);
-  MetricsRegistry::Global().Record("server.ingest.apply",
-                                   EventLoop::NowNs() - apply_start_ns);
+  histograms_.ingest_apply.Record(EventLoop::NowNs() - apply_start_ns);
 }
 
 template <typename Kind>
@@ -508,16 +517,18 @@ void UotsServer::HandleRequest(Connection* conn, uint64_t seq,
   // without touching admission or the thread pool. On a miss the canonical
   // key rides along so the worker populates the cache.
   std::string cache_key;
-  if (req.cache != CacheMode::kBypass) {
-    if (auto hit = service_->CacheLookup<Kind>(req.query, variant,
-                                               &cache_key)) {
+  if (req.cache != CacheMode::kBypass && service_->result_cache() != nullptr) {
+    const int64_t probe_start_ns = EventLoop::NowNs();
+    auto hit = service_->CacheLookup<Kind>(req.query, variant, &cache_key);
+    histograms_.cache_lookup.Record(EventLoop::NowNs() - probe_start_ns);
+    if (hit) {
       ++counters_.cache_hits;
       ++counters_.responses_ok;
       typename Kind::Response resp = OkResponse<Kind>(
           req.id, req.request_id, (*hit).*Kind::kCachedBody, hit->stats);
       resp.cached = true;
       Send(conn, seq, resp);
-      RecordLatency(arrival_ns);
+      histograms_.request_latency.Record(EventLoop::NowNs() - arrival_ns);
       if (admin_ != nullptr) {
         RequestCtx ctx;
         ctx.request_id_str = std::move(req.request_id);
@@ -710,8 +721,7 @@ void UotsServer::FinishCompaction(CompactionOutcome outcome) {
   }
   ++counters_.compactions;
   last_compaction_ms_ = outcome.build_ms;
-  MetricsRegistry::Global().Record(
-      "server.ingest.compact_build",
+  histograms_.compact_build.Record(
       static_cast<int64_t>(outcome.build_ms * 1e6));
   MaybeFinishShutdown();
 }
@@ -730,7 +740,7 @@ void UotsServer::OnDeadline(const std::shared_ptr<RequestCtx>& ctx) {
               ResponseStatus::kDeadlineExceeded,
               "deadline of " + std::to_string(ctx->deadline_ms) +
                   " ms exceeded");
-    RecordLatency(ctx->arrival_ns);
+    histograms_.request_latency.Record(EventLoop::NowNs() - ctx->arrival_ns);
   }
   // conn->inflight / loop_inflight_ stay up until the worker actually
   // finishes — the capacity it occupies is real until then.
@@ -742,6 +752,10 @@ void UotsServer::OnComplete(const std::shared_ptr<RequestCtx>& ctx,
   // Runs on the loop thread (posted). The request's admission slot is
   // already released by the service; release the loop-side accounting.
   --loop_inflight_;
+  // Every execution is timed, whether or not anyone is left to read it.
+  histograms_.queue_wait.Record(static_cast<int64_t>(r.queue_wait_ms * 1e6));
+  histograms_.execute.Record(static_cast<int64_t>(r.execute_ms * 1e6));
+  Kind::RecordPhases(histograms_, r.status, r.result, r.execute_ms);
 
   Connection* conn = FindConn(ctx->conn_id);
   if (conn != nullptr) {
@@ -778,7 +792,7 @@ void UotsServer::OnComplete(const std::shared_ptr<RequestCtx>& ctx,
       SendError(conn, ctx->seq, ctx->request_id, ctx->request_id_str, ws,
                 r.status.message());
     }
-    RecordLatency(ctx->arrival_ns);
+    histograms_.request_latency.Record(EventLoop::NowNs() - ctx->arrival_ns);
   }
   // The execution happened regardless of whether anyone was left to read
   // the answer — log it (status reflects what the client saw when the

@@ -44,6 +44,7 @@
 #include "server/event_loop.h"
 #include "server/protocol.h"
 #include "server/service.h"
+#include "util/histogram.h"
 
 namespace uots {
 
@@ -111,6 +112,38 @@ struct ServerCounterField {
 /// /statusz and uots_server's exit report read the counters through.
 std::span<const ServerCounterField> ServerCounterFields();
 
+/// \brief The server's latency histograms. Every sample is recorded on the
+/// loop thread (a worker's queue wait, execute time and trip phases ride
+/// back in BasicExecutionResult), so the histograms need no lock; read
+/// them there, or after Run() returns. ServerHistogramFields() lists every
+/// one.
+struct ServerHistograms {
+  LatencyHistogram cache_lookup;     ///< result-cache key + probe (cache on)
+  LatencyHistogram execute;          ///< worker engine wall time
+  LatencyHistogram ingest_apply;     ///< ingest batch apply + reply
+  LatencyHistogram compact_build;    ///< compaction merge + write + reload
+  LatencyHistogram queue_wait;       ///< admission -> worker pickup
+  /// Arrival -> reply queued: one sample per request answered after
+  /// parsing, by whichever sends its reply (cache hit, completion or
+  /// deadline timer).
+  LatencyHistogram request_latency;
+  LatencyHistogram trip_assemble;    ///< k-best trip assembly phase
+  LatencyHistogram trip_harvest;     ///< per-location segment harvest phase
+  LatencyHistogram trip_plan;        ///< a trip's whole execute time
+};
+
+/// \brief One ServerHistograms member and its /metrics family: the page
+/// exports `<family>_seconds` (histogram) and `<family>_quantile_seconds`
+/// (gauge); the exit report labels the member's line with `family`.
+struct ServerHistogramField {
+  const char* family;
+  LatencyHistogram ServerHistograms::*member;
+};
+
+/// Every ServerHistograms member, in /metrics page order: the one list
+/// /metrics and uots_server's exit report read the histograms through.
+std::span<const ServerHistogramField> ServerHistogramFields();
+
 /// \brief TCP front-end over a TrajectoryDatabase.
 class UotsServer {
  public:
@@ -148,6 +181,8 @@ class UotsServer {
     return admin_ == nullptr ? 0 : admin_->port();
   }
   const ServerCounters& counters() const { return counters_; }
+  /// Loop-owned latency histograms (loop thread, or after Run() returns).
+  const ServerHistograms& histograms() const { return histograms_; }
   size_t open_connections() const { return conns_.size(); }
   /// Requests admitted by the loop whose response is not yet queued.
   size_t loop_inflight() const { return loop_inflight_; }
@@ -289,6 +324,7 @@ class UotsServer {
   bool stop_requested_ = false;
   TimerHeap::TimerId drain_fuse_ = TimerHeap::kInvalidTimer;
   ServerCounters counters_;
+  ServerHistograms histograms_;
   int64_t start_unix_ms_ = 0;
   int64_t start_steady_ns_ = 0;
   uint64_t trace_sample_counter_ = 0;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "cache/query_key.h"
-#include "util/metrics.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
@@ -131,7 +130,6 @@ std::shared_ptr<const CachedResult> UotsService::CacheLookup(
     key_out->clear();
     return nullptr;
   }
-  WallTimer timer;
   // Salt with the *live* fingerprint (base identity mixed with the delta
   // generation): every applied ingest batch moves the salt, so a key
   // minted before an ingest can never hit an entry stored after it, nor
@@ -139,10 +137,7 @@ std::shared_ptr<const CachedResult> UotsService::CacheLookup(
   // serving pre-ingest answers after the dataset changed.
   const uint64_t salt = db()->live_fingerprint();
   *key_out = Kind::CacheKey(query, variant, opts_.uots, salt);
-  auto hit = result_cache_->Lookup(*key_out);
-  MetricsRegistry::Global().Record(
-      "server.cache.lookup", static_cast<int64_t>(timer.ElapsedMillis() * 1e6));
-  return hit;
+  return result_cache_->Lookup(*key_out);
 }
 
 template <typename Kind>
@@ -203,11 +198,6 @@ bool UotsService::TryExecute(const typename Kind::Query& query,
     }
     if (exec_opts.capture_spans) out.spans = Trace::EndThreadCapture();
     out.execute_ms = exec_timer.ElapsedMillis();
-    MetricsRegistry::Global().Record(
-        "server.queue_wait", static_cast<int64_t>(out.queue_wait_ms * 1e6));
-    MetricsRegistry::Global().Record(
-        "server.execute", static_cast<int64_t>(out.execute_ms * 1e6));
-    Kind::RecordPhases(out.status, out.result, out.execute_ms);
     done(std::move(out));
     // Publish completion last so Drain() cannot return while `done` runs.
     if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {

@@ -135,8 +135,7 @@ class UotsService {
   /// canonical key to pass to TryExecute so the computed result gets
   /// cached; with caching disabled (or for bypassed requests — don't call)
   /// `key_out` is cleared and the return is null. Keys carry the kind's
-  /// schema byte, so kinds never collide. Lookup time lands in the
-  /// "server.cache.lookup" histogram.
+  /// schema byte, so kinds never collide.
   template <typename Kind>
   std::shared_ptr<const CachedResult> CacheLookup(
       const typename Kind::Query& query, typename Kind::Variant variant,

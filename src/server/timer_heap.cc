@@ -15,8 +15,16 @@ TimerHeap::TimerId TimerHeap::Add(int64_t deadline_ns,
 }
 
 bool TimerHeap::Cancel(TimerId id) {
-  // Lazy deletion: the heap node stays and is skipped when popped.
-  return pending_.erase(id) > 0;
+  // Lazy deletion: the heap node stays and is skipped when popped, until
+  // cancelled nodes outnumber live timers. Then the live nodes are
+  // re-heaped; (deadline, id) is a total order, so firing order is kept.
+  if (pending_.erase(id) == 0) return false;
+  if (heap_.size() > 2 * pending_.size()) {
+    std::erase_if(heap_,
+                  [this](const Node& n) { return !pending_.contains(n.id); });
+    std::make_heap(heap_.begin(), heap_.end(), Later);
+  }
+  return true;
 }
 
 int64_t TimerHeap::NextDeadlineNs() {

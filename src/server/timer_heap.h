@@ -4,10 +4,14 @@
 // behaviour in the server: per-connection idle timeouts, per-request
 // deadlines, and the shutdown drain fuse. Cancel uses lazy deletion: the
 // callbacks of live timers sit in a side map keyed by id, and a heap node
-// whose id has left the map is dropped when it reaches the top, so a
-// cancel does no heap surgery. Ids are never reused, so a node names at
-// most one timer. Not thread-safe: the owning event loop is single-threaded
-// by design, and cross-thread arming goes through EventLoop::Post.
+// whose id has left the map is dropped when it reaches the top. An early
+// live timer (a compaction tick) would keep every later cancelled node in
+// the heap, so once cancelled nodes outnumber live timers Cancel rebuilds
+// the heap from the live ones: the heap never holds more than
+// 2 * pending() nodes after a cancel, at amortized O(1) per cancel. Ids are
+// never reused, so a node names at most one timer. Not thread-safe: the
+// owning event loop is single-threaded by design, and cross-thread arming
+// goes through EventLoop::Post.
 
 #ifndef UOTS_SERVER_TIMER_HEAP_H_
 #define UOTS_SERVER_TIMER_HEAP_H_
@@ -46,7 +50,7 @@ class TimerHeap {
 
   /// Timers armed and not yet fired or cancelled.
   size_t pending() const { return pending_.size(); }
-  /// Heap nodes, cancelled ones not yet pruned off the top included.
+  /// Heap nodes, cancelled ones not yet dropped included.
   size_t nodes() const { return heap_.size(); }
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace uots {
 
@@ -97,30 +96,12 @@ void InvertedKeywordIndex::ScoreCandidates(
   }
 
   out->reserve(touched.size());
-  const double qsize = static_cast<double>(query.size());
+  const bool weighted = sim.measure() == TextualMeasure::kWeighted;
+  assert((!weighted || doc_keys) && "kWeighted requires a doc_keys accessor");
   for (DocId d : touched) {
-    const double inter = count[d];
-    const double dsize = doc_sizes_[d];
-    double score = 0.0;
-    switch (sim.measure()) {
-      case TextualMeasure::kJaccard:
-        score = inter / (qsize + dsize - inter);
-        break;
-      case TextualMeasure::kDice:
-        score = 2.0 * inter / (qsize + dsize);
-        break;
-      case TextualMeasure::kOverlap:
-        score = inter / std::min(qsize, dsize);
-        break;
-      case TextualMeasure::kCosine:
-        score = inter / std::sqrt(qsize * dsize);
-        break;
-      case TextualMeasure::kWeighted:
-        assert(doc_keys && "kWeighted requires a doc_keys accessor");
-        score = sim.Score(query, doc_keys(d));
-        break;
-    }
-    out->push_back(ScoredDoc{d, score});
+    out->push_back(ScoredDoc{
+        d, weighted ? sim.Score(query, doc_keys(d))
+                    : sim.ScoreCounts(count[d], query.size(), doc_sizes_[d])});
   }
 }
 

@@ -1,7 +1,5 @@
 #include "text/similarity.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace uots {
@@ -62,21 +60,7 @@ double TextualSimilarity::Score(const KeywordSet& query,
                                 const KeywordSet& doc) const {
   if (query.empty() || doc.empty()) return 0.0;
   if (measure_ == TextualMeasure::kWeighted) return WeightedJaccard(query, doc);
-  const double inter = static_cast<double>(query.IntersectionSize(doc));
-  switch (measure_) {
-    case TextualMeasure::kJaccard:
-      return inter / static_cast<double>(query.UnionSize(doc));
-    case TextualMeasure::kDice:
-      return 2.0 * inter / static_cast<double>(query.size() + doc.size());
-    case TextualMeasure::kOverlap:
-      return inter / static_cast<double>(std::min(query.size(), doc.size()));
-    case TextualMeasure::kCosine:
-      return inter / std::sqrt(static_cast<double>(query.size()) *
-                               static_cast<double>(doc.size()));
-    case TextualMeasure::kWeighted:
-      break;  // handled above
-  }
-  return 0.0;
+  return ScoreCounts(query.IntersectionSize(doc), query.size(), doc.size());
 }
 
 }  // namespace uots

@@ -9,6 +9,9 @@
 #ifndef UOTS_TEXT_SIMILARITY_H_
 #define UOTS_TEXT_SIMILARITY_H_
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -39,6 +42,32 @@ class TextualSimilarity {
 
   /// Similarity between query keywords and a trajectory's keywords.
   double Score(const KeywordSet& query, const KeywordSet& doc) const;
+
+  /// \brief The counting measures' SimT from set sizes alone: `overlap`
+  /// shared terms between a query of `query_size` terms and a document of
+  /// `doc_size` terms (both non-empty). Every scorer (Score and both
+  /// indexes' ScoreCandidates) goes through this one formula; the operands
+  /// are small integers, exact as doubles, so the score is the same bits
+  /// wherever it is computed. kWeighted needs the terms themselves: 0.
+  double ScoreCounts(size_t overlap, size_t query_size,
+                     size_t doc_size) const {
+    const double inter = static_cast<double>(overlap);
+    const double q = static_cast<double>(query_size);
+    const double d = static_cast<double>(doc_size);
+    switch (measure_) {
+      case TextualMeasure::kJaccard:
+        return inter / (q + d - inter);
+      case TextualMeasure::kDice:
+        return 2.0 * inter / (q + d);
+      case TextualMeasure::kOverlap:
+        return inter / std::min(q, d);
+      case TextualMeasure::kCosine:
+        return inter / std::sqrt(q * d);
+      case TextualMeasure::kWeighted:
+        break;
+    }
+    return 0.0;
+  }
 
   TextualMeasure measure() const { return measure_; }
 

@@ -13,62 +13,33 @@ std::string FormatNsAsMs(int64_t ns) {
   return os.str();
 }
 
-/// Shared nearest-rank walk over a bucket array; the live histogram and
-/// its snapshots must agree bit for bit on every quantile.
-int64_t PercentileFromBuckets(const int64_t* counts, int64_t count,
-                              int64_t min_ns, int64_t max_ns, double p) {
-  if (count == 0) return 0;
-  const double clamped = std::max(0.0, std::min(100.0, p));
-  int64_t target =
-      static_cast<int64_t>(clamped / 100.0 * static_cast<double>(count));
-  if (target < 1) target = 1;
-  int64_t seen = 0;
-  for (int i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
-    seen += counts[i];
-    if (seen >= target) {
-      return std::clamp(LatencyHistogram::BucketUpperBound(i), min_ns, max_ns);
-    }
-  }
-  return max_ns;
-}
-
-/// Counts values in buckets that lie entirely at or below `ns`.
-int64_t CumulativeLeFromBuckets(const int64_t* counts, int64_t ns) {
-  if (ns < 0) return 0;
-  int64_t seen = 0;
-  for (int i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
-    if (LatencyHistogram::BucketUpperBound(i) > ns) break;
-    seen += counts[i];
-  }
-  return seen;
-}
-
 }  // namespace
 
 int64_t LatencyHistogram::PercentileNs(double p) const {
-  return PercentileFromBuckets(counts_.data(), count_, min_ns(), max_ns(), p);
+  if (count_ == 0) return 0;
+  const double clamped = std::max(0.0, std::min(100.0, p));
+  int64_t target =
+      static_cast<int64_t>(clamped / 100.0 * static_cast<double>(count_));
+  if (target < 1) target = 1;
+  int64_t seen = 0;
+  for (int i = 0; i < kNumBuckets; ++i) {
+    seen += counts_[i];
+    if (seen >= target) {
+      return std::clamp(BucketUpperBound(i), min_ns(), max_ns());
+    }
+  }
+  return max_ns();
 }
 
 int64_t LatencyHistogram::CumulativeCountLe(int64_t ns) const {
-  return CumulativeLeFromBuckets(counts_.data(), ns);
-}
-
-HistogramSnapshot LatencyHistogram::TakeSnapshot() const {
-  HistogramSnapshot s;
-  s.counts = counts_;
-  s.count = count_;
-  s.sum_ns = sum_ns_;
-  s.min_ns = min_ns();
-  s.max_ns = max_ns();
-  return s;
-}
-
-int64_t HistogramSnapshot::PercentileNs(double p) const {
-  return PercentileFromBuckets(counts.data(), count, min_ns, max_ns, p);
-}
-
-int64_t HistogramSnapshot::CumulativeCountLe(int64_t ns) const {
-  return CumulativeLeFromBuckets(counts.data(), ns);
+  // Counts values in buckets that lie entirely at or below `ns`.
+  if (ns < 0) return 0;
+  int64_t seen = 0;
+  for (int i = 0; i < kNumBuckets; ++i) {
+    if (BucketUpperBound(i) > ns) break;
+    seen += counts_[i];
+  }
+  return seen;
 }
 
 std::string LatencyHistogram::ToString() const {

@@ -4,10 +4,11 @@
 // magnitude: each power of two is split into 16 linear sub-buckets, so any
 // recorded value is representable with <= 6.25% relative error while the
 // whole int64 range fits in a fixed 960-slot array. Recording is two shifts
-// and an increment — cheap enough for per-query batch-worker use — and
-// histograms merge by bucket-wise addition, so each worker accumulates
-// privately and the executor merges once at the end (no synchronization on
-// the record path).
+// and an increment, and histograms merge by bucket-wise addition. A
+// histogram is not synchronized: each one has a single owning thread (a
+// batch worker, or the server's loop, which records every server histogram
+// and renders /metrics from it), and batch workers each fill a private one
+// that the executor merges once at the end.
 
 #ifndef UOTS_UTIL_HISTOGRAM_H_
 #define UOTS_UTIL_HISTOGRAM_H_
@@ -20,8 +21,6 @@
 #include <string>
 
 namespace uots {
-
-struct HistogramSnapshot;
 
 /// \brief Fixed-footprint log-scale histogram of nanosecond latencies.
 class LatencyHistogram {
@@ -73,16 +72,6 @@ class LatencyHistogram {
   /// "n=120 mean=1.84ms p50=1.71ms p95=3.62ms p99=5.10ms max=5.43ms".
   std::string ToString() const;
 
-  /// Immutable copy of the full state (count/sum/min/max/buckets) for
-  /// readers that must stay consistent while recording continues. The
-  /// histogram itself is not synchronized — shared instances live behind
-  /// MetricsRegistry's mutex, which serializes Record against Get/Snapshot;
-  /// taking a HistogramSnapshot there hands the reader a frozen view whose
-  /// count, sum, quantiles, and bucket counts all describe the same set of
-  /// recorded values (a raw Percentile-then-count() pair on the live
-  /// histogram could straddle a Record).
-  HistogramSnapshot TakeSnapshot() const;
-
   /// Count in bucket `index` (0 <= index < kNumBuckets).
   int64_t BucketCount(int index) const { return counts_[index]; }
 
@@ -122,33 +111,6 @@ class LatencyHistogram {
   int64_t sum_ns_ = 0;
   int64_t min_ns_ = std::numeric_limits<int64_t>::max();
   int64_t max_ns_ = 0;
-};
-
-/// \brief A frozen copy of one LatencyHistogram: every accessor answers
-/// about the same set of recorded values, no matter what the source
-/// histogram does afterwards. This is what exporters (Prometheus text,
-/// bench sidecars) should read instead of poking the live histogram field
-/// by field.
-struct HistogramSnapshot {
-  std::array<int64_t, LatencyHistogram::kNumBuckets> counts{};
-  int64_t count = 0;
-  int64_t sum_ns = 0;
-  int64_t min_ns = 0;  ///< 0 when empty
-  int64_t max_ns = 0;
-
-  double MeanNs() const {
-    return count > 0 ? static_cast<double>(sum_ns) / count : 0.0;
-  }
-
-  /// Same nearest-rank semantics (and <= 6.25% overestimate bound) as
-  /// LatencyHistogram::PercentileNs.
-  int64_t PercentileNs(double p) const;
-  double PercentileMs(double p) const {
-    return static_cast<double>(PercentileNs(p)) / 1e6;
-  }
-
-  /// Same bucket-granular semantics as LatencyHistogram::CumulativeCountLe.
-  int64_t CumulativeCountLe(int64_t ns) const;
 };
 
 }  // namespace uots

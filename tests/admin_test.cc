@@ -19,7 +19,6 @@ namespace {
 using promtext::DeltaQuantileSeconds;
 using promtext::FindValue;
 using promtext::HistogramBucket;
-using promtext::MangleMetricName;
 using promtext::ParseHistogramBuckets;
 
 HttpRequestParser::Next Feed(HttpRequestParser* p, const std::string& bytes,
@@ -172,14 +171,6 @@ TEST(SlowQueryLog, SlowestEvictsTheMinimumWhenFull) {
   EXPECT_DOUBLE_EQ(log.slowest()[0].total_ms, 8.0);
   EXPECT_DOUBLE_EQ(log.slowest()[1].total_ms, 6.0);
   EXPECT_DOUBLE_EQ(log.slowest()[2].total_ms, 5.0);
-}
-
-TEST(Promtext, MangleMetricName) {
-  EXPECT_EQ(MangleMetricName("server.request_latency"),
-            "server_request_latency");
-  EXPECT_EQ(MangleMetricName("server.cache.hits"), "server_cache_hits");
-  EXPECT_EQ(MangleMetricName("already_clean_09"), "already_clean_09");
-  EXPECT_EQ(MangleMetricName("odd-chars %!"), "odd_chars___");
 }
 
 const char kExposition[] =

@@ -1,5 +1,5 @@
 // Latency histogram: bucket math, percentile accuracy against a
-// sorted-vector oracle, merge semantics, and the metrics registry.
+// sorted-vector oracle, merge semantics, and cumulative bucket counts.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "util/histogram.h"
-#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace uots {
@@ -52,6 +51,7 @@ TEST(Histogram, EmptyIsAllZero) {
   EXPECT_EQ(h.min_ns(), 0);
   EXPECT_EQ(h.max_ns(), 0);
   EXPECT_EQ(h.PercentileNs(50), 0);
+  EXPECT_EQ(h.CumulativeCountLe(1 << 30), 0);
   EXPECT_DOUBLE_EQ(h.MeanNs(), 0.0);
 }
 
@@ -140,80 +140,18 @@ TEST(Histogram, ToStringMentionsPercentiles) {
   EXPECT_NE(s.find("p99="), std::string::npos);
 }
 
-TEST(HistogramSnapshot, MatchesLiveHistogram) {
-  Rng rng(123);
-  LatencyHistogram h;
-  for (int i = 0; i < 2000; ++i) {
-    h.Record(static_cast<int64_t>(rng.Uniform(1 << 24)) + 100);
-  }
-  const HistogramSnapshot snap = h.TakeSnapshot();
-  EXPECT_EQ(snap.count, h.count());
-  EXPECT_EQ(snap.sum_ns, h.sum_ns());
-  EXPECT_EQ(snap.min_ns, h.min_ns());
-  EXPECT_EQ(snap.max_ns, h.max_ns());
-  EXPECT_DOUBLE_EQ(snap.MeanNs(), h.MeanNs());
-  for (double p : {1.0, 50.0, 90.0, 99.0, 100.0}) {
-    EXPECT_EQ(snap.PercentileNs(p), h.PercentileNs(p)) << "p" << p;
-  }
-  for (int i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
-    ASSERT_EQ(snap.counts[i], h.BucketCount(i)) << "bucket " << i;
-  }
-}
-
-TEST(HistogramSnapshot, IsFrozenAgainstLaterRecords) {
-  LatencyHistogram h;
-  h.Record(1000);
-  const HistogramSnapshot snap = h.TakeSnapshot();
-  h.Record(5'000'000'000LL);
-  EXPECT_EQ(snap.count, 1);
-  EXPECT_EQ(snap.max_ns, 1000);
-  EXPECT_EQ(h.count(), 2);
-}
-
-TEST(HistogramSnapshot, EmptyIsAllZero) {
-  const HistogramSnapshot snap = LatencyHistogram().TakeSnapshot();
-  EXPECT_EQ(snap.count, 0);
-  EXPECT_EQ(snap.min_ns, 0);
-  EXPECT_EQ(snap.max_ns, 0);
-  EXPECT_EQ(snap.PercentileNs(50), 0);
-  EXPECT_EQ(snap.CumulativeCountLe(1 << 30), 0);
-}
-
-TEST(HistogramSnapshot, QuantilesWithinErrorBound) {
-  // The documented contract for exporter-side quantiles: never below the
-  // true nearest-rank percentile, at most 1/kSubBuckets = 6.25% above.
-  Rng rng(321);
-  std::vector<int64_t> values;
-  LatencyHistogram h;
-  for (int i = 0; i < 4000; ++i) {
-    int64_t v = static_cast<int64_t>(5e5 + 4e6 * rng.UniformDouble());
-    if (rng.Bernoulli(0.02)) v *= 100;  // tail out to ~0.5s
-    values.push_back(v);
-    h.Record(v);
-  }
-  const HistogramSnapshot snap = h.TakeSnapshot();
-  for (double p : {50.0, 90.0, 95.0, 99.0}) {
-    const int64_t oracle = OraclePercentile(values, p);
-    const int64_t est = snap.PercentileNs(p);
-    EXPECT_GE(est, oracle) << "p" << p;
-    EXPECT_LE(est, static_cast<int64_t>(oracle * 1.0625) + 1) << "p" << p;
-  }
-}
-
 TEST(Histogram, CumulativeCountLeIsMonotoneAndBounded) {
   Rng rng(55);
   LatencyHistogram h;
   for (int i = 0; i < 1000; ++i) {
     h.Record(static_cast<int64_t>(rng.Uniform(1 << 22)));
   }
-  const HistogramSnapshot snap = h.TakeSnapshot();
   int64_t prev = -1;
   for (int64_t ns = 0; ns <= (int64_t{1} << 23); ns += 1 << 16) {
-    const int64_t live = h.CumulativeCountLe(ns);
-    EXPECT_EQ(snap.CumulativeCountLe(ns), live) << "ns=" << ns;
-    EXPECT_GE(live, prev) << "ns=" << ns;  // monotone in ns
-    EXPECT_LE(live, h.count());
-    prev = live;
+    const int64_t le = h.CumulativeCountLe(ns);
+    EXPECT_GE(le, prev) << "ns=" << ns;  // monotone in ns
+    EXPECT_LE(le, h.count());
+    prev = le;
   }
   EXPECT_EQ(h.CumulativeCountLe(-1), 0);
   EXPECT_EQ(h.CumulativeCountLe(std::numeric_limits<int64_t>::max()),
@@ -230,52 +168,6 @@ TEST(Histogram, CumulativeCountLeNeverOvercounts) {
   const int64_t hi = LatencyHistogram::BucketUpperBound(idx);
   EXPECT_EQ(h.CumulativeCountLe(hi - 1), 0);
   EXPECT_EQ(h.CumulativeCountLe(hi), 1);
-}
-
-TEST(MetricsRegistry, GetSnapshotAndSnapshotAll) {
-  MetricsRegistry reg;
-  reg.Record("lat", 1000);
-  reg.Record("lat", 3000);
-  reg.Record("other", 500);
-  const HistogramSnapshot snap = reg.GetSnapshot("lat");
-  EXPECT_EQ(snap.count, 2);
-  EXPECT_EQ(snap.sum_ns, 4000);
-  EXPECT_EQ(reg.GetSnapshot("missing").count, 0);
-  const auto all = reg.SnapshotAll();
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0].first, "lat");
-  EXPECT_EQ(all[0].second.count, 2);
-  EXPECT_EQ(all[1].first, "other");
-  EXPECT_EQ(all[1].second.count, 1);
-}
-
-TEST(MetricsRegistry, RecordGetAndClear) {
-  MetricsRegistry reg;
-  EXPECT_TRUE(reg.Names().empty());
-  EXPECT_EQ(reg.Get("missing").count(), 0);
-  reg.Record("a", 1000);
-  reg.Record("a", 2000);
-  reg.Record("b", 3000);
-  EXPECT_EQ(reg.Get("a").count(), 2);
-  EXPECT_EQ(reg.Get("b").count(), 1);
-  EXPECT_EQ(reg.Names(), (std::vector<std::string>{"a", "b"}));
-  const auto snapshot = reg.Snapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_EQ(snapshot[0].first, "a");
-  EXPECT_EQ(snapshot[0].second.count(), 2);
-  reg.Clear();
-  EXPECT_TRUE(reg.Names().empty());
-}
-
-TEST(MetricsRegistry, MergeAccumulates) {
-  MetricsRegistry reg;
-  LatencyHistogram h;
-  h.Record(500);
-  h.Record(1500);
-  reg.Merge("m", h);
-  reg.Merge("m", h);
-  EXPECT_EQ(reg.Get("m").count(), 4);
-  EXPECT_EQ(reg.Get("m").min_ns(), 500);
 }
 
 }  // namespace

@@ -122,32 +122,41 @@ void ExpectIdentical(const SearchResult& a, const SearchResult& b,
 
 TEST(IngestTest, DeltaMatchesColdRebuildAcrossAllSixEngines) {
   const RoadNetwork net = MakeNet();
-  auto base = MakeBaseDb(net);
   const std::vector<Trajectory> extra = MakeTrips(net, 40, 77);
+  // Every counting SimT measure: the delta and the base index score
+  // through one formula, and each measure must match the rebuild.
+  for (TextualMeasure measure :
+       {TextualMeasure::kJaccard, TextualMeasure::kDice,
+        TextualMeasure::kOverlap, TextualMeasure::kCosine}) {
+    SCOPED_TRACE(ToString(measure));
+    SimilarityOptions sim;
+    sim.measure = measure;
+    auto base = MakeBaseDb(net, sim);
 
-  Ingestor ingestor(base.get());
-  auto applied = ingestor.Apply(extra);
-  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-  EXPECT_EQ(applied->first_id, static_cast<TrajId>(120));
-  EXPECT_EQ(applied->accepted, extra.size());
+    Ingestor ingestor(base.get());
+    auto applied = ingestor.Apply(extra);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    EXPECT_EQ(applied->first_id, static_cast<TrajId>(120));
+    EXPECT_EQ(applied->accepted, extra.size());
 
-  auto rebuilt = Rebuild(*base, extra);
-  // The workload is drawn over the rebuilt database so ingested trips are
-  // eligible for (and do appear in) top-k answers.
-  const auto queries = MakeQueries(*rebuilt, 10);
+    auto rebuilt = Rebuild(*base, extra);
+    // The workload is drawn over the rebuilt database so ingested trips are
+    // eligible for (and do appear in) top-k answers.
+    const auto queries = MakeQueries(*rebuilt, 10);
 
-  for (AlgorithmKind kind :
-       {AlgorithmKind::kBruteForce, AlgorithmKind::kTextFirst,
-        AlgorithmKind::kUots, AlgorithmKind::kUotsNoHeuristic,
-        AlgorithmKind::kUotsSequential, AlgorithmKind::kEuclidean}) {
-    QueryOptions opts;
-    opts.algorithm = kind;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      auto via_delta = RunQuery(*base, queries[i], opts);
-      auto via_rebuild = RunQuery(*rebuilt, queries[i], opts);
-      ASSERT_TRUE(via_delta.ok()) << via_delta.status().ToString();
-      ASSERT_TRUE(via_rebuild.ok()) << via_rebuild.status().ToString();
-      ExpectIdentical(*via_delta, *via_rebuild, ToString(kind), i);
+    for (AlgorithmKind kind :
+         {AlgorithmKind::kBruteForce, AlgorithmKind::kTextFirst,
+          AlgorithmKind::kUots, AlgorithmKind::kUotsNoHeuristic,
+          AlgorithmKind::kUotsSequential, AlgorithmKind::kEuclidean}) {
+      QueryOptions opts;
+      opts.algorithm = kind;
+      for (size_t i = 0; i < queries.size(); ++i) {
+        auto via_delta = RunQuery(*base, queries[i], opts);
+        auto via_rebuild = RunQuery(*rebuilt, queries[i], opts);
+        ASSERT_TRUE(via_delta.ok()) << via_delta.status().ToString();
+        ASSERT_TRUE(via_rebuild.ok()) << via_rebuild.status().ToString();
+        ExpectIdentical(*via_delta, *via_rebuild, ToString(kind), i);
+      }
     }
   }
 }

@@ -33,7 +33,6 @@
 #include "server/server.h"
 #include "traj/generator.h"
 #include "trip/workload.h"
-#include "util/metrics.h"
 
 namespace uots {
 namespace {
@@ -726,6 +725,22 @@ TEST(ServerIntegrationTest, RequestInFlightKeepsAnIdleConnectionOpen) {
   EXPECT_TRUE(resp->ok()) << resp->error;
 }
 
+struct TimerHeapSize {
+  size_t nodes;
+  size_t pending;
+};
+
+/// The server loop's timer heap size, read on the loop thread.
+TimerHeapSize ReadTimerHeap(UotsServer& server) {
+  std::promise<TimerHeapSize> size;
+  EventLoop& loop = server.loop();
+  loop.Post([&] {
+    size.set_value(
+        TimerHeapSize{loop.timers().nodes(), loop.timers().pending()});
+  });
+  return size.get_future().get();
+}
+
 TEST(ServerIntegrationTest, ReadsDoNotGrowTheTimerHeap) {
   // An armed timer due before the idle timeout (the compaction tick) sits
   // at the heap top for the whole run. Thousands of reads on one connection
@@ -750,19 +765,40 @@ TEST(ServerIntegrationTest, ReadsDoNotGrowTheTimerHeap) {
     ASSERT_TRUE(resp.ok() && resp->ok()) << "call " << i;
   }
 
-  struct HeapSize {
-    size_t nodes;
-    size_t pending;
-  };
-  std::promise<HeapSize> size;
-  EventLoop& loop = fx.server().loop();
-  loop.Post([&] {
-    size.set_value(HeapSize{loop.timers().nodes(), loop.timers().pending()});
-  });
-  const HeapSize heap = size.get_future().get();
+  const TimerHeapSize heap = ReadTimerHeap(fx.server());
   EXPECT_EQ(heap.pending, 2u) << "the idle timer and the compaction tick";
   EXPECT_LE(heap.nodes, heap.pending + 2) << "heap nodes after " << kReads
                                           << " reads";
+}
+
+TEST(ServerIntegrationTest, CancelledDeadlineTimersDoNotGrowTheTimerHeap) {
+  // Every computed request arms a deadline timer that its completion
+  // cancels. With the compaction tick armed earlier at the heap top, those
+  // cancelled timers must still not pile up one heap node per request.
+  auto db = MakeTestDb();
+  ServerOptions opts;
+  opts.service.cache_max_entries = 0;  // every request runs the engine
+  opts.compact_snapshot_path = ::testing::TempDir() + "uots-deadline-heap.snap";
+  opts.compact_interval_ms = 30000.0;
+  ServerFixture fx(*db, opts);
+  const auto queries = MakeQueries(*db, 1);
+
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", fx.port()).ok());
+  constexpr int kRequests = 3000;
+  for (int i = 0; i < kRequests; ++i) {
+    QueryRequest req;
+    req.id = i;
+    req.query = queries[0];
+    req.deadline_ms = 60000.0;
+    auto resp = client.Call(req);
+    ASSERT_TRUE(resp.ok() && resp->ok()) << "call " << i;
+  }
+
+  const TimerHeapSize heap = ReadTimerHeap(fx.server());
+  EXPECT_EQ(heap.pending, 2u) << "the idle timer and the compaction tick";
+  EXPECT_LE(heap.nodes, 2 * heap.pending + 1)
+      << "heap nodes after " << kRequests << " cancelled deadline timers";
 }
 
 // --- admin plane -----------------------------------------------------------
@@ -796,11 +832,12 @@ TEST(AdminIntegrationTest, MetricsServeLiveAndStayMonotonicUnderLoad) {
   ASSERT_TRUE(promtext::FindValue(first.body, "uots_server_requests_total",
                                   &requests_before));
   EXPECT_DOUBLE_EQ(requests_before, 0.0);
-  // The latency histogram lives in the process-global metrics registry, so
-  // other tests in this binary may already have populated it: diff it.
-  double latency_count_before = 0.0;
-  promtext::FindValue(first.body, "uots_server_request_latency_seconds_count",
-                      &latency_count_before);
+  // So is every histogram family, empty: the server owns its histograms.
+  double latency_count_before = -1.0;
+  ASSERT_TRUE(promtext::FindValue(
+      first.body, "uots_server_request_latency_seconds_count",
+      &latency_count_before));
+  EXPECT_DOUBLE_EQ(latency_count_before, 0.0);
 
   // Scrape concurrently with query load; every sample must be monotone.
   constexpr int kClients = 3;
@@ -858,7 +895,7 @@ TEST(AdminIntegrationTest, MetricsServeLiveAndStayMonotonicUnderLoad) {
   ASSERT_TRUE(promtext::FindValue(
       after.body, "uots_server_request_latency_seconds_count",
       &latency_count));
-  EXPECT_DOUBLE_EQ(latency_count - latency_count_before,
+  EXPECT_DOUBLE_EQ(latency_count,
                    static_cast<double>(kClients * kRequestsPerClient));
 }
 
@@ -1278,9 +1315,6 @@ std::vector<std::string> SeriesTypes(const std::string& page) {
 class MetricsDrill {
  public:
   MetricsDrill() {
-    // Histograms live in the process-wide registry: start from an empty
-    // one so earlier tests in this binary add no families.
-    MetricsRegistry::Global().Clear();
     GridNetworkOptions net_opts;
     net_opts.rows = 14;
     net_opts.cols = 14;
@@ -1446,6 +1480,48 @@ TEST(AdminIntegrationTest, ExportedSeriesMatchTheGoldenList) {
       "uots_trip_plan_seconds histogram",
   };
   EXPECT_EQ(SeriesTypes(drill.Scrape()), golden);
+}
+
+TEST(AdminIntegrationTest, EachServerExportsOnlyItsOwnHistograms) {
+  // Two servers in one process; only the first gets traffic. The second
+  // must export every histogram family from the start, all empty.
+  auto db = MakeTestDb();
+  ServerOptions opts = WithAdmin();
+  opts.service.cache_max_entries = 16;
+  ServerFixture busy(*db, opts);
+  ServerFixture idle(*db, opts);
+  const auto queries = MakeQueries(*db, 2);
+
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", busy.port()).ok());
+  for (int pass = 0; pass < 2; ++pass) {  // the second pass hits the cache
+    for (size_t i = 0; i < queries.size(); ++i) {
+      QueryRequest req;
+      req.id = static_cast<int64_t>(i);
+      req.query = queries[i];
+      auto resp = client.Call(req);
+      ASSERT_TRUE(resp.ok() && resp->ok()) << resp.status().ToString();
+    }
+  }
+  const std::string busy_page =
+      AdminGet(busy.server().admin_port(), "/metrics").body;
+  double busy_latency = 0.0;
+  ASSERT_TRUE(promtext::FindValue(
+      busy_page, "uots_server_request_latency_seconds_count", &busy_latency));
+  EXPECT_EQ(busy_latency, 4.0);
+
+  const std::string idle_page =
+      AdminGet(idle.server().admin_port(), "/metrics").body;
+  for (const char* family :
+       {"uots_server_cache_lookup", "uots_server_execute",
+        "uots_server_ingest_apply", "uots_server_ingest_compact_build",
+        "uots_server_queue_wait", "uots_server_request_latency",
+        "uots_trip_assemble", "uots_trip_harvest", "uots_trip_plan"}) {
+    double count = -1.0;
+    const std::string series = std::string(family) + "_seconds_count";
+    EXPECT_TRUE(promtext::FindValue(idle_page, series, &count)) << series;
+    EXPECT_EQ(count, 0.0) << series;
+  }
 }
 
 TEST(AdminIntegrationTest, CountersNeverFallAndMatchTheirOwners) {

@@ -67,6 +67,28 @@ TEST(TimerHeapTest, CallbackMayReArm) {
   EXPECT_EQ(heap.pending(), 0u);
 }
 
+TEST(TimerHeapTest, CancelledTimersBehindAnEarlyLiveOneDoNotPileUp) {
+  // The early timer stays at the heap top, so lazy deletion alone would
+  // keep every cancelled node below it.
+  TimerHeap heap;
+  std::vector<int> fired;
+  heap.Add(100, [&] { fired.push_back(0); });
+  for (int i = 0; i < 1000; ++i) {
+    const TimerHeap::TimerId id =
+        heap.Add(1000 + i, [&] { fired.push_back(-1); });
+    if (i % 250 == 0) continue;  // four later timers stay live
+    EXPECT_TRUE(heap.Cancel(id));
+    ASSERT_LE(heap.nodes(), 2 * heap.pending() + 1) << "after cancel " << i;
+  }
+  EXPECT_EQ(heap.pending(), 5u);
+  EXPECT_EQ(heap.NextDeadlineNs(), 100);
+  // The survivors still fire, in (deadline, creation) order.
+  heap.Add(1000, [&] { fired.push_back(1); });  // ties the first survivor
+  EXPECT_EQ(heap.RunExpired(5000), 6);
+  EXPECT_EQ(fired, (std::vector<int>{0, -1, 1, -1, -1, -1}));
+  EXPECT_EQ(heap.nodes(), 0u);
+}
+
 TEST(TimerHeapTest, PendingTracksLiveTimers) {
   TimerHeap heap;
   const TimerHeap::TimerId a = heap.Add(100, [] {});

@@ -135,9 +135,11 @@ int RunBuild(const BuildFlags& flags) {
       return 1;
     }
     std::printf("oracle: %zu vertices, %zu upward arcs (%" PRIu64
-                " shortcuts), %" PRIu64 " witness searches, built in %.2fs\n",
+                " shortcuts), %" PRIu64 " witness searches, %" PRIu64
+                " witness settles, built in %.2fs\n",
                 oracle->NumVertices(), oracle->NumUpEdges(), ostats.shortcuts,
-                ostats.witness_searches, ostats.seconds);
+                ostats.witness_searches, ostats.witness_settled,
+                ostats.seconds);
     db->AttachOracle(
         std::make_shared<uots::DistanceOracle>(std::move(*oracle)));
   }

@@ -6,7 +6,8 @@
 // roughly 1.5k vertices up to ~10x that; --sizes overrides):
 //
 //   1. construction — DistanceOracle::Build wall time, shortcut count,
-//      upward-arc count, and serialized column bytes;
+//      witness-search settles, upward-arc count, and serialized column
+//      bytes;
 //   2. kernel — mean exact sd(u, v) latency of the two-sided CH sweep
 //      versus a plain point-to-point Dijkstra on the same random pairs
 //      (Dijkstra gets proportionally fewer pairs; it is the slow side);
@@ -109,9 +110,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  uots::bench::Table table({"vertices", "build_s", "shortcuts", "oracle_us",
-                            "dijkstra_us", "kernel_x", "uots_ms", "oracle_ms",
-                            "e2e_x"});
+  uots::bench::Table table({"vertices", "build_s", "shortcuts",
+                            "witness_settled", "oracle_us", "dijkstra_us",
+                            "kernel_x", "uots_ms", "oracle_ms", "e2e_x"},
+                           /*width=*/16);
   table.PrintHeader();
   uots::bench::JsonReport report("oracle");
 
@@ -256,13 +258,15 @@ int main(int argc, char** argv) {
     std::snprintf(c[0], sizeof(c[0]), "%u", num_vertices);
     std::snprintf(c[1], sizeof(c[1]), "%.3f", build_stats.seconds);
     std::snprintf(c[2], sizeof(c[2]), "%" PRIu64, build_stats.shortcuts);
-    std::snprintf(c[3], sizeof(c[3]), "%.2f", oracle_us);
-    std::snprintf(c[4], sizeof(c[4]), "%.1f", dij_us);
-    std::snprintf(c[5], sizeof(c[5]), "%.0fx", dij_us / oracle_us);
-    std::snprintf(c[6], sizeof(c[6]), "%.3f", base_ms);
-    std::snprintf(c[7], sizeof(c[7]), "%.3f", oracle_ms);
-    std::snprintf(c[8], sizeof(c[8]), "%.1fx", base_ms / oracle_ms);
-    table.PrintRow({c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7], c[8]});
+    std::snprintf(c[3], sizeof(c[3]), "%" PRIu64, build_stats.witness_settled);
+    std::snprintf(c[4], sizeof(c[4]), "%.2f", oracle_us);
+    std::snprintf(c[5], sizeof(c[5]), "%.1f", dij_us);
+    std::snprintf(c[6], sizeof(c[6]), "%.0fx", dij_us / oracle_us);
+    std::snprintf(c[7], sizeof(c[7]), "%.3f", base_ms);
+    std::snprintf(c[8], sizeof(c[8]), "%.3f", oracle_ms);
+    std::snprintf(c[9], sizeof(c[9]), "%.1fx", base_ms / oracle_ms);
+    table.PrintRow(
+        {c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7], c[8], c[9]});
 
     auto& row = report.AddRow();
     row.Set("vertices", static_cast<int64_t>(num_vertices))
@@ -273,6 +277,8 @@ int main(int argc, char** argv) {
              static_cast<int64_t>(db->oracle()->NumUpEdges()))
         .Set("witness_searches",
              static_cast<int64_t>(build_stats.witness_searches))
+        .Set("witness_settled",
+             static_cast<int64_t>(build_stats.witness_settled))
         .Set("oracle_mb", oracle_mb)
         .Set("kernel_oracle_us", oracle_us)
         .Set("kernel_scanned_per_pair", scans_per_pair)

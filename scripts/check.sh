@@ -152,6 +152,23 @@ for preset in "${presets[@]}"; do
       echo "after another n: ${fp_warm}; fresh cache: ${fp_fresh}"
       [[ -n "${fp_warm}" && "${fp_warm}" == "${fp_fresh}" ]]
       rm -rf "${cold}" "${other}"
+      # Hierarchy pin at benchmark scale: the BRN-15k oracle snapshot the
+      # wire benchmark serves, built from an empty dataset cache, must hold
+      # the pinned dataset and the pinned hierarchy sections. A contraction
+      # change that moves the order or any shortcut moves a section CRC.
+      echo "==> release: BRN-15k hierarchy pin"
+      pin="$(mktemp -d)"
+      UOTS_BENCH_CACHE_DIR="${pin}" "${builddir[release]}/apps/uots_snapshot" \
+        build --city=BRN --trajectories=15000 --oracle --out="${pin}/brn.snap"
+      "${builddir[release]}/apps/uots_snapshot" inspect "${pin}/brn.snap" \
+        > "${pin}/inspect.txt"
+      grep -E "dataset fingerprint|^ *oracle\." "${pin}/inspect.txt"
+      grep "dataset fingerprint c2bc0049" "${pin}/inspect.txt" >/dev/null
+      grep -E "^ *oracle\.ranks .* f08790cf$" "${pin}/inspect.txt" >/dev/null
+      grep -E "^ *oracle\.up_offsets .* c001e645$" "${pin}/inspect.txt" \
+        >/dev/null
+      grep -E "^ *oracle\.up_edges .* 0cede5e3$" "${pin}/inspect.txt" >/dev/null
+      rm -rf "${pin}"
     fi
     # Admin-plane drill: serve a generated city with the admin listener on,
     # drive a closed loop that also scrapes server-side quantiles, then hit

@@ -19,6 +19,20 @@ struct OverlayArc {
   double weight;
 };
 
+/// One target of a witness search from u during the contraction of v: a
+/// later neighbor w of v and the length w(u,v) + w(v,w) of the path via v.
+struct WitnessTarget {
+  VertexId w;
+  double through_v;
+  bool decided;  ///< its shortcut decision can no longer change
+};
+
+/// Marks a vertex as target `slot` of witness search number `search`.
+struct TargetTag {
+  uint32_t search;
+  uint32_t slot;
+};
+
 /// \brief The contraction state machine. Owns the overlay adjacency, the
 /// lazy priority queue, and the witness-search scratch.
 class Contractor {
@@ -36,6 +50,7 @@ class Contractor {
         up_lists_(n_),
         witness_dist_(n_),
         witness_heap_(n_),
+        target_tags_(n_),
         queue_(n_) {
     for (VertexId v = 0; v < n_; ++v) {
       const auto nbrs = g.Neighbors(v);
@@ -72,14 +87,13 @@ class Contractor {
   }
 
  private:
-  /// Live (uncontracted) neighbors of v with their current best arcs.
-  std::vector<OverlayArc> LiveNeighbors(VertexId v) const {
-    std::vector<OverlayArc> out;
-    out.reserve(overlay_[v].size());
+  /// Fills nbrs_ with the live (uncontracted) neighbors of v and their
+  /// current best arcs.
+  void LiveNeighbors(VertexId v) {
+    nbrs_.clear();
     for (const OverlayArc& a : overlay_[v]) {
-      if (!contracted_[a.to]) out.push_back(a);
+      if (!contracted_[a.to]) nbrs_.push_back(a);
     }
-    return out;
   }
 
   /// Inserts (or min-merges) the undirected overlay arc u <-> w.
@@ -104,34 +118,64 @@ class Contractor {
   /// contract v: one per neighbor pair (u, w) with no witness path of
   /// length <= w(u,v) + w(v,w) avoiding v in the remaining overlay.
   size_t SimulateContraction(VertexId v, bool commit) {
-    const std::vector<OverlayArc> nbrs = LiveNeighbors(v);
+    LiveNeighbors(v);
     size_t shortcuts = 0;
-    for (size_t ui = 0; ui + 1 < nbrs.size(); ++ui) {
-      const VertexId u = nbrs[ui].to;
-      const double w_uv = nbrs[ui].weight;
-      double limit = 0.0;
-      for (size_t wi = ui + 1; wi < nbrs.size(); ++wi) {
-        limit = std::max(limit, w_uv + nbrs[wi].weight);
+    for (size_t ui = 0; ui + 1 < nbrs_.size(); ++ui) {
+      const VertexId u = nbrs_[ui].to;
+      const double w_uv = nbrs_[ui].weight;
+      targets_.clear();
+      for (size_t wi = ui + 1; wi < nbrs_.size(); ++wi) {
+        targets_.push_back(
+            WitnessTarget{nbrs_[wi].to, w_uv + nbrs_[wi].weight, false});
       }
-      WitnessSearch(u, v, limit);
-      for (size_t wi = ui + 1; wi < nbrs.size(); ++wi) {
-        const VertexId w = nbrs[wi].to;
-        const double through_v = w_uv + nbrs[wi].weight;
+      WitnessSearch(u, v);
+      for (const WitnessTarget& t : targets_) {
         // Any label (settled or tentative) names a real path, so a label
         // <= through_v is a witness even if the search stopped early.
-        if (witness_dist_.Get(w) <= through_v) continue;
+        if (witness_dist_.Get(t.w) <= t.through_v) continue;
         ++shortcuts;
-        if (commit) AddOverlayArc(u, w, through_v, v);
+        if (commit) AddOverlayArc(u, t.w, t.through_v, v);
       }
     }
     return shortcuts;
   }
 
   /// Bounded Dijkstra from `source` over the live overlay, never entering
-  /// `excluded` (the vertex being contracted), stopping past `limit` or
-  /// after the settle cap. Labels land in witness_dist_.
-  void WitnessSearch(VertexId source, VertexId excluded, double limit) {
+  /// `excluded` (the vertex being contracted). Labels land in witness_dist_.
+  /// It stops once every target in targets_ is decided, when the popped key
+  /// passes the largest through_v still undecided, or after the settle cap.
+  /// A target is decided once popped (its label is final) or once labelled
+  /// <= through_v (a witness whatever follows). Labels only fall and every
+  /// later label is >= the popped key, so each target's `label <= through_v`
+  /// outcome is the one a search run on to the cap would reach: contraction
+  /// order and shortcuts do not depend on where the search stops.
+  void WitnessSearch(VertexId source, VertexId excluded) {
     if (stats_ != nullptr) ++stats_->witness_searches;
+    ++search_;
+    double radius = 0.0;
+    for (uint32_t i = 0; i < targets_.size(); ++i) {
+      target_tags_[targets_[i].w] = TargetTag{search_, i};
+      radius = std::max(radius, targets_[i].through_v);
+    }
+    size_t undecided = targets_.size();
+    // Marks x decided if it is an undecided target whose label `d` fixes
+    // its outcome; shrinks the radius when x held it. True once no target
+    // is left undecided.
+    const auto decide = [&](VertexId x, double d, bool popped) {
+      const TargetTag tag = target_tags_[x];
+      if (tag.search != search_) return false;
+      WitnessTarget& t = targets_[tag.slot];
+      if (t.decided || (!popped && d > t.through_v)) return false;
+      t.decided = true;
+      if (--undecided == 0) return true;
+      if (t.through_v == radius) {
+        radius = 0.0;
+        for (const WitnessTarget& o : targets_) {
+          if (!o.decided) radius = std::max(radius, o.through_v);
+        }
+      }
+      return false;
+    };
     witness_dist_.Reset();
     witness_heap_.Reset();
     witness_dist_.Set(source, 0.0);
@@ -139,9 +183,10 @@ class Contractor {
     int settled = 0;
     while (!witness_heap_.empty()) {
       const auto [d, x] = witness_heap_.Pop();
-      if (d > limit) break;
+      if (d > radius) break;
       if (++settled > opts_.witness_settle_limit) break;
       if (stats_ != nullptr) ++stats_->witness_settled;
+      if (decide(x, d, /*popped=*/true)) return;
       for (const OverlayArc& a : overlay_[x]) {
         if (contracted_[a.to] || a.to == excluded) continue;
         const double nd = d + a.weight;
@@ -153,6 +198,7 @@ class Contractor {
           } else {
             witness_heap_.DecreaseKey(a.to, nd);
           }
+          if (decide(a.to, nd, /*popped=*/false)) return;
         }
       }
     }
@@ -163,10 +209,9 @@ class Contractor {
   /// intact (spreads contraction evenly instead of chewing through one
   /// region first).
   double Priority(VertexId v) {
-    const std::vector<OverlayArc> nbrs = LiveNeighbors(v);
     const size_t shortcuts = SimulateContraction(v, /*commit=*/false);
     return 2.0 * (static_cast<double>(shortcuts) -
-                  static_cast<double>(nbrs.size())) +
+                  static_cast<double>(nbrs_.size())) +
            static_cast<double>(deleted_neighbors_[v]);
   }
 
@@ -207,6 +252,13 @@ class Contractor {
   std::vector<std::vector<OracleEdge>> up_lists_;
   DistanceField witness_dist_;
   VertexHeap witness_heap_;
+  /// SimulateContraction scratch: v's live neighbors, and the targets of
+  /// the current witness search (the neighbors after its source).
+  std::vector<OverlayArc> nbrs_;
+  std::vector<WitnessTarget> targets_;
+  /// Per vertex: its slot in targets_, valid while `search` is search_.
+  std::vector<TargetTag> target_tags_;
+  uint32_t search_ = 0;
   DaryHeap<4> queue_;
 };
 

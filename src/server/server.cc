@@ -719,11 +719,14 @@ void UotsServer::FinishCompaction(CompactionOutcome outcome) {
   if (opts_.service.uots.distance_cache != nullptr) {
     opts_.service.uots.distance_cache->InvalidateGeneration();
   }
-  ++counters_.compactions;
-  last_compaction_ms_ = outcome.build_ms;
-  histograms_.compact_build.Record(
-      static_cast<int64_t>(outcome.build_ms * 1e6));
+  CountCompaction(outcome.build_ms);
   MaybeFinishShutdown();
+}
+
+void UotsServer::CountCompaction(double build_ms) {
+  ++counters_.compactions;
+  last_compaction_ms_ = build_ms;
+  histograms_.compact_build.Record(static_cast<int64_t>(build_ms * 1e6));
 }
 
 void UotsServer::OnDeadline(const std::shared_ptr<RequestCtx>& ctx) {
@@ -919,8 +922,7 @@ void UotsServer::FinishShutdown() {
     CompactionOutcome out = BuildCompactedSnapshot(
         *db_, ingestor_.pending(), opts_.compact_snapshot_path);
     if (out.status.ok()) {
-      ++counters_.compactions;
-      last_compaction_ms_ = out.build_ms;
+      CountCompaction(out.build_ms);
     } else {
       ++counters_.compact_failures;
       std::fprintf(stderr, "shutdown compaction failed: %s\n",

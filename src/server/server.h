@@ -265,6 +265,9 @@ class UotsServer {
   /// Loop-thread completion: swap the validated reload in (or record the
   /// failure) and release the single-compaction latch.
   void FinishCompaction(CompactionOutcome outcome);
+  /// Counts one successful compaction (background or shutdown fold) and
+  /// records its build time.
+  void CountCompaction(double build_ms);
   void RequeueCompactionTimer();
   void OnDeadline(const std::shared_ptr<RequestCtx>& ctx);
   template <typename Kind>

@@ -28,8 +28,9 @@ namespace uots {
 namespace {
 
 DistanceOracle BuildOracle(const RoadNetwork& g,
-                           OracleBuildStats* stats = nullptr) {
-  auto oracle = DistanceOracle::Build(g, {}, stats);
+                           OracleBuildStats* stats = nullptr,
+                           const OracleBuildOptions& opts = {}) {
+  auto oracle = DistanceOracle::Build(g, opts, stats);
   EXPECT_TRUE(oracle.ok()) << oracle.status().ToString();
   EXPECT_TRUE(oracle->Validate().ok());
   return std::move(*oracle);
@@ -283,40 +284,98 @@ uint32_t ColumnCrc(std::span<const T> column) {
   return storage::Crc32c(column.data(), column.size_bytes());
 }
 
+/// The seeded grid and ring networks the hierarchy goldens are pinned on.
+RoadNetwork PinnedGrid() {
+  GridNetworkOptions opts;
+  opts.rows = 30;
+  opts.cols = 30;
+  opts.removal_rate = 0.05;
+  opts.seed = 3;
+  auto g = MakeGridNetwork(opts);
+  EXPECT_TRUE(g.ok());
+  return std::move(*g);
+}
+
+RoadNetwork PinnedRing() {
+  RingRadialNetworkOptions opts;
+  opts.rings = 18;
+  opts.inner_ring_vertices = 10;
+  opts.seed = 4;
+  auto g = MakeRingRadialNetwork(opts);
+  EXPECT_TRUE(g.ok());
+  return std::move(*g);
+}
+
 TEST(ChOracle, BuildIsByteStable) {
-  // Golden checksums of the three hierarchy columns for two seeded
-  // networks: any change to the contraction order or to a witness search's
-  // outcome moves at least one of them. Faster builds must keep them.
+  // Golden checksums of the three hierarchy columns for seeded networks:
+  // any change to the contraction order or to a witness search's outcome
+  // moves at least one of them. Faster builds must keep them. The capped
+  // grid ends most searches at the settle cap, the random geometric graph
+  // is irregular, and the split graph has an unreachable second component.
   struct Golden {
     size_t up_edges;
     uint32_t ranks_crc;
     uint32_t offsets_crc;
     uint32_t edges_crc;
   };
-  GridNetworkOptions gopts;
-  gopts.rows = 30;
-  gopts.cols = 30;
-  gopts.removal_rate = 0.05;
-  gopts.seed = 3;
-  auto grid = MakeGridNetwork(gopts);
-  ASSERT_TRUE(grid.ok());
-  RingRadialNetworkOptions ropts;
-  ropts.rings = 18;
-  ropts.inner_ring_vertices = 10;
-  ropts.seed = 4;
-  auto ring = MakeRingRadialNetwork(ropts);
-  ASSERT_TRUE(ring.ok());
+  const RoadNetwork grid = PinnedGrid();
+  const RoadNetwork ring = PinnedRing();
+  RandomGeometricOptions geo_opts;
+  geo_opts.num_vertices = 700;
+  geo_opts.k_nearest = 4;
+  geo_opts.seed = 23;
+  auto geometric = MakeRandomGeometricNetwork(geo_opts);
+  ASSERT_TRUE(geometric.ok());
+  const RoadNetwork split = GridWithDetachedPath(29);
+  OracleBuildOptions capped;
+  capped.witness_settle_limit = 3;
 
-  const std::pair<const RoadNetwork*, Golden> cases[] = {
-      {&*grid, Golden{4456, 0xd54dc1edu, 0x101536f6u, 0xb6e51978u}},
-      {&*ring, Golden{5849, 0x3cabbf6cu, 0x5170ad6fu, 0x30b9cd7du}},
+  struct Case {
+    const char* name;
+    const RoadNetwork* g;
+    OracleBuildOptions opts;
+    Golden golden;
   };
-  for (const auto& [g, golden] : cases) {
-    const DistanceOracle oracle = BuildOracle(*g);
-    EXPECT_EQ(oracle.NumUpEdges(), golden.up_edges);
-    EXPECT_EQ(ColumnCrc(oracle.ranks()), golden.ranks_crc);
-    EXPECT_EQ(ColumnCrc(oracle.up_offsets()), golden.offsets_crc);
-    EXPECT_EQ(ColumnCrc(oracle.up_edges()), golden.edges_crc);
+  const Case cases[] = {
+      {"grid", &grid, {}, Golden{4456, 0xd54dc1edu, 0x101536f6u, 0xb6e51978u}},
+      {"ring", &ring, {}, Golden{5849, 0x3cabbf6cu, 0x5170ad6fu, 0x30b9cd7du}},
+      {"capped grid", &grid, capped,
+       Golden{7874, 0xfc800ff1u, 0xc4520dcau, 0x4009d9b2u}},
+      {"geometric", &*geometric, {},
+       Golden{2858, 0x4e953f9au, 0x12764e83u, 0x7824bb92u}},
+      {"split", &split, {}, Golden{512, 0x4cf97b5eu, 0xcd443db8u, 0x499d1561u}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const DistanceOracle oracle = BuildOracle(*c.g, nullptr, c.opts);
+    EXPECT_EQ(oracle.NumUpEdges(), c.golden.up_edges);
+    EXPECT_EQ(ColumnCrc(oracle.ranks()), c.golden.ranks_crc);
+    EXPECT_EQ(ColumnCrc(oracle.up_offsets()), c.golden.offsets_crc);
+    EXPECT_EQ(ColumnCrc(oracle.up_edges()), c.golden.edges_crc);
+  }
+}
+
+TEST(ChOracle, WitnessSearchesStopOnceEveryTargetIsDecided) {
+  // A witness search ends once every target's shortcut decision is fixed,
+  // not at its radius bound. It runs the same searches (BuildIsByteStable
+  // pins their outcomes) but settles fewer vertices than the 331,831 and
+  // 316,574 a radius-bounded search settles on these networks.
+  struct Case {
+    const char* name;
+    RoadNetwork g;
+    uint64_t searches;
+    uint64_t radius_bounded_settled;
+  };
+  const Case cases[] = {
+      {"grid", PinnedGrid(), 13179, 331831},
+      {"ring", PinnedRing(), 15981, 316574},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    OracleBuildStats stats;
+    BuildOracle(c.g, &stats);
+    EXPECT_EQ(stats.witness_searches, c.searches);
+    EXPECT_LT(stats.witness_settled, c.radius_bounded_settled);
   }
 }
 

@@ -37,20 +37,26 @@
 namespace uots {
 namespace {
 
-std::unique_ptr<TrajectoryDatabase> MakeTestDb() {
+/// The network every MakeTestDb database is built on.
+RoadNetwork MakeTestNetwork() {
   GridNetworkOptions net_opts;
   net_opts.rows = 18;
   net_opts.cols = 18;
   net_opts.seed = 21;
   auto network = MakeGridNetwork(net_opts);
   EXPECT_TRUE(network.ok());
+  return std::move(*network);
+}
+
+std::unique_ptr<TrajectoryDatabase> MakeTestDb() {
+  RoadNetwork network = MakeTestNetwork();
   TripGeneratorOptions trip_opts;
   trip_opts.num_trajectories = 250;
   trip_opts.vocabulary_size = 120;
   trip_opts.seed = 22;
-  auto trips = GenerateTrips(*network, trip_opts);
+  auto trips = GenerateTrips(network, trip_opts);
   EXPECT_TRUE(trips.ok());
-  return std::make_unique<TrajectoryDatabase>(std::move(*network),
+  return std::make_unique<TrajectoryDatabase>(std::move(network),
                                               std::move(trips->store),
                                               std::move(trips->vocabulary));
 }
@@ -594,6 +600,40 @@ TEST(ServerIntegrationTest, GracefulShutdownDrainsAndStops) {
   BlockingClient late;
   EXPECT_FALSE(late.Connect("127.0.0.1", fx.port()).ok());
   EXPECT_EQ(fx.server().counters().responses_ok, 1);
+}
+
+TEST(ServerIntegrationTest, ShutdownFoldCountsAndTimesItsCompaction) {
+  // Stopping with an unflushed delta folds it into the compaction snapshot
+  // on the way out. That fold is a compaction like a background one: it is
+  // counted and its build time lands in compact_build.
+  auto db = MakeTestDb();
+  TripGeneratorOptions trip_opts;
+  trip_opts.num_trajectories = 20;
+  trip_opts.vocabulary_size = 120;
+  trip_opts.seed = 23;
+  auto extra = GenerateTrips(MakeTestNetwork(), trip_opts);
+  ASSERT_TRUE(extra.ok());
+  IngestRequest ireq;
+  ireq.id = 1;
+  for (size_t i = 0; i < extra->store.size(); ++i) {
+    ireq.trajectories.push_back(
+        extra->store.Materialize(static_cast<TrajId>(i)));
+  }
+
+  const std::string snap_path =
+      ::testing::TempDir() + "uots-shutdown-fold.snap";
+  ServerOptions opts;
+  opts.compact_snapshot_path = snap_path;
+  ServerFixture fx(*db, opts);
+  BlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", fx.port()).ok());
+  auto iresp = client.Call(ireq);
+  ASSERT_TRUE(iresp.ok() && iresp->ok()) << iresp.status().ToString();
+
+  fx.Stop();  // RequestShutdown + join: the drain folds the delta
+  EXPECT_EQ(fx.server().counters().compactions, 1);
+  EXPECT_EQ(fx.server().histograms().compact_build.count(), 1);
+  std::remove(snap_path.c_str());
 }
 
 TEST(ServerIntegrationTest, RequestsDuringDrainGetShuttingDown) {

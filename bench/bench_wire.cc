@@ -176,8 +176,7 @@ BENCHMARK(BM_HitStatsJson);
 
 void BM_HitSlowLogAdd(benchmark::State& state) {
   const HitFixture& fx = Fixture();
-  const AdminOptions defaults;
-  SlowQueryLog log(defaults.slowlog_recent, defaults.slowlog_slowest);
+  SlowQueryLog log(kSlowLogRecent, kSlowLogSlowest);
   size_t i = 0;
   char lambda[32];
   for (auto _ : state) {

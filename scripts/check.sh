@@ -38,6 +38,18 @@ ordering_tests='*PipelinedRequestsAnswerInOrder:*CacheHitWaits*'
 
 for preset in "${presets[@]}"; do
   echo "==> preset: ${preset}"
+  if [[ "${preset}" == "release" ]]; then
+    # One socket layer: src/server/socket.{h,cc} makes every socket call in
+    # src/ and apps/, so a socket syscall anywhere else fails the check.
+    # (A bare `! git grep` would not fail the script under set -e.)
+    echo "==> release: socket calls only in src/server/socket.*"
+    if git grep -nE \
+        '::(socket|bind|listen|accept4?|connect|send|recv|setsockopt|fcntl)\(' \
+        -- src apps ':!src/server/socket.*'; then
+      echo "socket syscalls outside src/server/socket.{h,cc}" >&2
+      exit 1
+    fi
+  fi
   cmake --preset "${preset}"
   if [[ "${preset}" == "tsan" ]]; then
     # Each binary runs directly, with full output; TSan makes a run that

@@ -45,7 +45,7 @@ class UotsSearcher::Sink {
   }
 
  private:
-  TopK topk_;
+  TopK<> topk_;
   std::vector<ScoredTrajectory> all_;
   double theta_ = 0.0;
   bool threshold_mode_ = false;

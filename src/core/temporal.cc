@@ -5,56 +5,13 @@
 #include <cmath>
 #include <limits>
 
+#include "core/topk.h"
 #include "net/dijkstra.h"
 #include "util/timer.h"
 
 namespace uots {
 
 namespace {
-
-/// Min-heap-free top-k for TemporalScoredTrajectory (mirrors core/topk.h).
-class TemporalTopK {
- public:
-  explicit TemporalTopK(size_t k) : k_(k) {}
-
-  void Offer(const TemporalScoredTrajectory& item) {
-    if (heap_.size() < k_) {
-      heap_.push_back(item);
-      std::push_heap(heap_.begin(), heap_.end(), MinOrder);
-      return;
-    }
-    if (item.score > heap_.front().score) {
-      std::pop_heap(heap_.begin(), heap_.end(), MinOrder);
-      heap_.back() = item;
-      std::push_heap(heap_.begin(), heap_.end(), MinOrder);
-    }
-  }
-
-  bool Full() const { return heap_.size() >= k_; }
-  double Threshold() const {
-    return Full() ? heap_.front().score
-                  : -std::numeric_limits<double>::infinity();
-  }
-
-  std::vector<TemporalScoredTrajectory> Finish() && {
-    std::sort(heap_.begin(), heap_.end(),
-              [](const TemporalScoredTrajectory& a,
-                 const TemporalScoredTrajectory& b) {
-                if (a.score != b.score) return a.score > b.score;
-                return a.id < b.id;
-              });
-    return std::move(heap_);
-  }
-
- private:
-  static bool MinOrder(const TemporalScoredTrajectory& a,
-                       const TemporalScoredTrajectory& b) {
-    return a.score > b.score;
-  }
-
-  size_t k_;
-  std::vector<TemporalScoredTrajectory> heap_;
-};
 
 double Combine3(const TemporalUotsQuery& q, double spatial, double temporal,
                 double textual) {
@@ -117,7 +74,7 @@ Result<TemporalSearchResult> BruteForceTemporalSearch(
 
   {
     ScopedPhase refine_phase(&out.stats, QueryPhase::kRefinement);
-    TemporalTopK topk(static_cast<size_t>(query.k));
+    TopK<TemporalScoredTrajectory> topk(static_cast<size_t>(query.k));
     for (TrajId id = 0; id < store.size(); ++id) {
       const auto samples = store.SamplesOf(id);
       double spatial = 0.0;
@@ -226,7 +183,7 @@ Result<TemporalSearchResult> TemporalUotsSearcher::Search(
   states_.clear();
   partial_.clear();
 
-  TemporalTopK topk(static_cast<size_t>(query.k));
+  TopK<TemporalScoredTrajectory> topk(static_cast<size_t>(query.k));
   size_t text_ptr = 0;
   std::vector<double> labels(total_sources, 0.0);
   size_t cur = 0;

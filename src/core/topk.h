@@ -14,8 +14,11 @@ namespace uots {
 
 /// \brief Keeps the k highest-scoring trajectories seen so far.
 ///
-/// Implemented as a binary min-heap on score; Threshold() (the k-th best
-/// score) is the pruning bound used by every search algorithm.
+/// `Item` is any scored trajectory with an `id` and a `score`:
+/// ScoredTrajectory for the retrieval engines, TemporalScoredTrajectory for
+/// the 3-D ones. Implemented as a binary min-heap on score; Threshold() (the
+/// k-th best score) is the pruning bound used by every search algorithm.
+template <typename Item = ScoredTrajectory>
 class TopK {
  public:
   explicit TopK(size_t k) : k_(k) { heap_.reserve(k + 1); }
@@ -24,13 +27,13 @@ class TopK {
   /// Score ties at the boundary break by ascending id, so the kept set —
   /// and therefore every engine's answer — does not depend on the order in
   /// which equal-score candidates were offered.
-  void Offer(const ScoredTrajectory& item) {
+  void Offer(const Item& item) {
     if (heap_.size() < k_) {
       heap_.push_back(item);
       std::push_heap(heap_.begin(), heap_.end(), MinOrder);
       return;
     }
-    const ScoredTrajectory& worst = heap_.front();
+    const Item& worst = heap_.front();
     if (item.score > worst.score ||
         (item.score == worst.score && item.id < worst.id)) {
       std::pop_heap(heap_.begin(), heap_.end(), MinOrder);
@@ -51,12 +54,11 @@ class TopK {
 
   /// Extracts items in descending score order (stable for equal scores by
   /// ascending id, keeping results deterministic).
-  std::vector<ScoredTrajectory> Finish() && {
-    std::sort(heap_.begin(), heap_.end(),
-              [](const ScoredTrajectory& a, const ScoredTrajectory& b) {
-                if (a.score != b.score) return a.score > b.score;
-                return a.id < b.id;
-              });
+  std::vector<Item> Finish() && {
+    std::sort(heap_.begin(), heap_.end(), [](const Item& a, const Item& b) {
+      if (a.score != b.score) return a.score > b.score;
+      return a.id < b.id;
+    });
     return std::move(heap_);
   }
 
@@ -64,13 +66,13 @@ class TopK {
   /// Min-heap whose root is the boundary item: lowest score, and among
   /// equal scores the highest id (the one an equal-score, lower-id offer
   /// should displace).
-  static bool MinOrder(const ScoredTrajectory& a, const ScoredTrajectory& b) {
+  static bool MinOrder(const Item& a, const Item& b) {
     if (a.score != b.score) return a.score > b.score;
     return a.id < b.id;
   }
 
   size_t k_;
-  std::vector<ScoredTrajectory> heap_;
+  std::vector<Item> heap_;
 };
 
 }  // namespace uots

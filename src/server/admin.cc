@@ -1,24 +1,19 @@
 #include "server/admin.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "server/json.h"
 #include "server/server.h"
+#include "server/socket.h"
 
 namespace uots {
 
@@ -194,14 +189,12 @@ int64_t UnixNowMs() {
       .count();
 }
 
-Status SetNonBlockingFd(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::IOError("fcntl(O_NONBLOCK): " +
-                           std::string(std::strerror(errno)));
-  }
-  return Status::OK();
-}
+/// Pending connections the kernel queues on the admin listener.
+constexpr int kListenBacklog = 16;
+/// Concurrent admin connections; scrapers beyond this are refused.
+constexpr size_t kMaxConnections = 32;
+/// A connection must deliver a complete request within this window.
+constexpr double kReadTimeoutMs = 5000.0;
 
 }  // namespace
 
@@ -211,7 +204,7 @@ Status SetNonBlockingFd(int fd) {
 AdminPlane::AdminPlane(UotsServer* server, const AdminOptions& opts)
     : server_(server),
       opts_(opts),
-      slowlog_(opts.slowlog_recent, opts.slowlog_slowest) {}
+      slowlog_(kSlowLogRecent, kSlowLogSlowest) {}
 
 AdminPlane::~AdminPlane() {
   // Raw closes only: the loop may already be destroyed at this point (the
@@ -227,39 +220,14 @@ AdminPlane::~AdminPlane() {
 }
 
 Status AdminPlane::Start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError("admin socket: " +
-                           std::string(std::strerror(errno)));
+  Result<TcpListener> listener = ListenTcp(
+      opts_.bind_address, static_cast<uint16_t>(opts_.port), kListenBacklog);
+  if (!listener.ok()) {
+    return Status(listener.status().code(),
+                  "admin " + listener.status().message());
   }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(opts_.port));
-  if (::inet_pton(AF_INET, opts_.bind_address.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad admin bind address: " +
-                                   opts_.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    return Status::IOError("admin bind: " +
-                           std::string(std::strerror(errno)));
-  }
-  if (::listen(listen_fd_, opts_.listen_backlog) < 0) {
-    return Status::IOError("admin listen: " +
-                           std::string(std::strerror(errno)));
-  }
-  UOTS_RETURN_NOT_OK(SetNonBlockingFd(listen_fd_));
-
-  sockaddr_in bound;
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0) {
-    port_ = ntohs(bound.sin_port);
-  }
+  listen_fd_ = listener->fd;
+  port_ = listener->port;
   return server_->loop().AddFd(listen_fd_, EPOLLIN,
                                [this](uint32_t) { OnAcceptReady(); });
 }
@@ -276,19 +244,12 @@ void AdminPlane::Shutdown() {
 
 void AdminPlane::OnAcceptReady() {
   for (;;) {
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      return;
-    }
-    if (conns_.size() >= opts_.max_connections) {
+    const int fd = AcceptTcp(listen_fd_);
+    if (fd < 0) return;
+    if (conns_.size() >= kMaxConnections) {
       ::close(fd);
       continue;
     }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     const uint64_t id = next_conn_id_++;
     AdminConn& conn = conns_[id];
     conn.fd = fd;
@@ -299,15 +260,13 @@ void AdminPlane::OnAcceptReady() {
       conns_.erase(id);
       continue;
     }
-    if (opts_.read_timeout_ms > 0.0) {
-      conn.read_timer =
-          server_->loop().AddTimerAfterMs(opts_.read_timeout_ms, [this, id] {
-            auto it = conns_.find(id);
-            if (it == conns_.end()) return;
-            it->second.read_timer = TimerHeap::kInvalidTimer;
-            CloseConn(id);
-          });
-    }
+    conn.read_timer =
+        server_->loop().AddTimerAfterMs(kReadTimeoutMs, [this, id] {
+          auto it = conns_.find(id);
+          if (it == conns_.end()) return;
+          it->second.read_timer = TimerHeap::kInvalidTimer;
+          CloseConn(id);
+        });
   }
 }
 
@@ -321,56 +280,31 @@ void AdminPlane::OnConnEvent(uint64_t id, uint32_t events) {
     return;
   }
   if (events & EPOLLOUT) {
-    while (conn->out_offset < conn->out.size()) {
-      const ssize_t n = ::send(conn->fd, conn->out.data() + conn->out_offset,
-                               conn->out.size() - conn->out_offset,
-                               MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        CloseConn(id);
-        return;
-      }
-      conn->out_offset += static_cast<size_t>(n);
-    }
-    // Response fully flushed: HTTP/1.0 close semantics.
-    CloseConn(id);
+    FlushConn(id, conn);
     return;
   }
-  if ((events & EPOLLIN) && conn->out.empty()) {
-    char buf[4096];
-    for (;;) {
-      const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
-      if (n == 0) {
-        CloseConn(id);
-        return;
-      }
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        CloseConn(id);
-        return;
-      }
-      conn->parser.Append(buf, static_cast<size_t>(n));
-    }
-    HttpRequest req;
-    switch (conn->parser.Poll(&req)) {
-      case HttpRequestParser::Next::kNeedMore:
-        return;
-      case HttpRequestParser::Next::kBad:
-        QueueResponse(id, conn,
-                      EncodeHttpResponse(400, "text/plain",
-                                         "malformed request\n"));
-        return;
-      case HttpRequestParser::Next::kTooLarge:
-        QueueResponse(id, conn,
-                      EncodeHttpResponse(431, "text/plain",
-                                         "header block too large\n"));
-        return;
-      case HttpRequestParser::Next::kRequest:
-        QueueResponse(id, conn, Dispatch(req));
-        return;
-    }
+  if (!(events & EPOLLIN) || !conn->out.empty()) return;
+  const IoResult read = ReadAvailable(conn->fd, conn->parser);
+  // Parse what was read before acting on end of stream: a client may
+  // half-close right after sending its request.
+  HttpRequest req;
+  switch (conn->parser.Poll(&req)) {
+    case HttpRequestParser::Next::kNeedMore:
+      if (read == IoResult::kClosed) CloseConn(id);
+      return;
+    case HttpRequestParser::Next::kBad:
+      QueueResponse(id, conn,
+                    EncodeHttpResponse(400, "text/plain",
+                                       "malformed request\n"));
+      return;
+    case HttpRequestParser::Next::kTooLarge:
+      QueueResponse(id, conn,
+                    EncodeHttpResponse(431, "text/plain",
+                                       "header block too large\n"));
+      return;
+    case HttpRequestParser::Next::kRequest:
+      QueueResponse(id, conn, Dispatch(req));
+      return;
   }
 }
 
@@ -384,21 +318,17 @@ void AdminPlane::QueueResponse(uint64_t id, AdminConn* conn,
   }
   // Stop reading (one request per connection) and flush what the socket
   // will take; the rest rides EPOLLOUT.
-  while (conn->out_offset < conn->out.size()) {
-    const ssize_t n = ::send(conn->fd, conn->out.data() + conn->out_offset,
-                             conn->out.size() - conn->out_offset,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        (void)server_->loop().SetEvents(conn->fd, EPOLLOUT);
-        return;
-      }
-      CloseConn(id);
-      return;
-    }
-    conn->out_offset += static_cast<size_t>(n);
+  FlushConn(id, conn);
+}
+
+void AdminPlane::FlushConn(uint64_t id, AdminConn* conn) {
+  if (WriteAvailable(conn->fd, conn->out, &conn->out_offset) ==
+          IoResult::kOk &&
+      conn->out_offset < conn->out.size()) {
+    (void)server_->loop().SetEvents(conn->fd, EPOLLOUT);
+    return;
   }
+  // Fully written (HTTP/1.0 close semantics) or the peer is gone.
   CloseConn(id);
 }
 
@@ -442,13 +372,16 @@ std::string AdminPlane::Dispatch(const HttpRequest& req) {
   if (req.path == "/tracing") {
     if (req.method == "POST") {
       const std::string arg = req.QueryParam("sample");
+      int every = 0;
       if (arg.empty() ||
-          arg.find_first_not_of("0123456789") != std::string::npos) {
-        return EncodeHttpResponse(
-            400, "text/plain",
-            "POST /tracing?sample=N (N = 0 disables sampling)\n");
+          arg.find_first_not_of("0123456789") != std::string::npos ||
+          std::from_chars(arg.data(), arg.data() + arg.size(), every).ec !=
+              std::errc()) {
+        return EncodeHttpResponse(400, "text/plain",
+                                  "POST /tracing?sample=N (0 <= N <= "
+                                  "2147483647; N = 0 disables sampling)\n");
       }
-      set_trace_sample_every(std::atoi(arg.c_str()));
+      set_trace_sample_every(every);
     } else if (!is_get) {
       return EncodeHttpResponse(405, "text/plain", "use GET or POST\n");
     }

@@ -28,7 +28,8 @@
 //   POST /tracing?sample=N
 //                      Capture the span tree of every Nth executed request
 //                      into its slow-log entry; 0 disables. Takes effect
-//                      immediately, no restart.
+//                      immediately, no restart. N outside 0..2147483647
+//                      answers 400 and leaves the rate as it was.
 
 #ifndef UOTS_SERVER_ADMIN_H_
 #define UOTS_SERVER_ADMIN_H_
@@ -101,19 +102,17 @@ class SlowQueryLog {
   int64_t added_ = 0;
 };
 
+/// The admin plane's slow-query log keeps this many of the most recent
+/// requests and this many of the slowest.
+inline constexpr size_t kSlowLogRecent = 64;
+inline constexpr size_t kSlowLogSlowest = 32;
+
 /// \brief Admin-plane configuration (ServerOptions::admin).
 struct AdminOptions {
   std::string bind_address = "127.0.0.1";
   /// -1 = admin plane disabled (default); 0 = ephemeral (read the bound
   /// port from AdminPlane::port()); else the fixed port to bind.
   int port = -1;
-  int listen_backlog = 16;
-  /// Concurrent admin connections; scrapers beyond this are refused.
-  size_t max_connections = 32;
-  /// A connection must deliver a complete request within this window.
-  double read_timeout_ms = 5000.0;
-  size_t slowlog_recent = 64;
-  size_t slowlog_slowest = 32;
 };
 
 /// \brief The admin HTTP listener; owned by UotsServer, lives on its loop.
@@ -168,6 +167,9 @@ class AdminPlane {
   std::string RenderSlowQueries() const;
   std::string RenderHealthz(int* status) const;
   void QueueResponse(uint64_t id, AdminConn* conn, std::string response);
+  /// Writes what the socket takes of the response; closes the connection
+  /// once it is all written or the peer is gone, else waits for EPOLLOUT.
+  void FlushConn(uint64_t id, AdminConn* conn);
   void CloseConn(uint64_t id);
 
   UotsServer* server_;

@@ -1,13 +1,8 @@
 #include "server/client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
+#include "server/socket.h"
 
 namespace uots {
 
@@ -34,47 +29,15 @@ void BlockingClient::Close() {
 
 Status BlockingClient::Connect(const std::string& host, uint16_t port) {
   Close();
-  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd_ < 0) {
-    return Status::IOError("socket: " + std::string(std::strerror(errno)));
-  }
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    Close();
-    return Status::InvalidArgument("bad address: " + host);
-  }
-  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const Status st =
-        Status::IOError("connect: " + std::string(std::strerror(errno)));
-    Close();
-    return st;
-  }
-  const int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return Status::OK();
-}
-
-Status BlockingClient::WriteAll(const char* data, size_t n) {
-  size_t off = 0;
-  while (off < n) {
-    const ssize_t w = ::send(fd_, data + off, n - off, MSG_NOSIGNAL);
-    if (w > 0) {
-      off += static_cast<size_t>(w);
-      continue;
-    }
-    if (errno == EINTR) continue;
-    return Status::IOError("send: " + std::string(std::strerror(errno)));
-  }
+  Result<int> fd = ConnectTcp(host, port);
+  if (!fd.ok()) return fd.status();
+  fd_ = *fd;
   return Status::OK();
 }
 
 Status BlockingClient::SendPayload(const std::string& payload) {
   if (fd_ < 0) return Status::InvalidArgument("not connected");
-  const std::string frame = EncodeFrame(payload);
-  return WriteAll(frame.data(), frame.size());
+  return SendAll(fd_, EncodeFrame(payload));
 }
 
 Result<std::string> BlockingClient::ReceivePayload() {
@@ -89,14 +52,10 @@ Result<std::string> BlockingClient::ReceivePayload() {
                              std::to_string(oversized) + " bytes)");
     }
     char buf[16384];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n > 0) {
-      decoder_.Append(buf, static_cast<size_t>(n));
-      continue;
-    }
-    if (n == 0) return Status::IOError("connection closed by server");
-    if (errno == EINTR) continue;
-    return Status::IOError("recv: " + std::string(std::strerror(errno)));
+    const Result<size_t> n = RecvSome(fd_, buf, sizeof(buf));
+    if (!n.ok()) return n.status();
+    if (*n == 0) return Status::IOError("connection closed by server");
+    decoder_.Append(buf, *n);
   }
 }
 

@@ -47,7 +47,6 @@ class BlockingClient {
   Result<IngestResponse> Call(const IngestRequest& req);
 
  private:
-  Status WriteAll(const char* data, size_t n);
   /// Frames `payload` and writes it.
   Status SendPayload(const std::string& payload);
   /// The receive loop: reads until one whole frame is buffered, then

@@ -1,9 +1,7 @@
 #include "server/connection.h"
 
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <utility>
 
 namespace uots {
@@ -20,20 +18,8 @@ void Connection::Close() {
   }
 }
 
-Connection::IoResult Connection::ReadAvailable() {
-  char buf[16384];
-  for (;;) {
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n > 0) {
-      decoder_.Append(buf, static_cast<size_t>(n));
-      if (static_cast<size_t>(n) < sizeof(buf)) return IoResult::kOk;
-      continue;  // possibly more queued
-    }
-    if (n == 0) return IoResult::kClosed;  // orderly shutdown by peer
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return IoResult::kOk;
-    if (errno == EINTR) continue;
-    return IoResult::kClosed;  // ECONNRESET and friends
-  }
+IoResult Connection::ReadAvailable() {
+  return uots::ReadAvailable(fd_, decoder_);
 }
 
 void Connection::QueueFrame(std::string_view payload) {
@@ -62,19 +48,8 @@ void Connection::QueueResponse(uint64_t seq, std::string body) {
   }
 }
 
-Connection::IoResult Connection::Flush() {
-  while (out_offset_ < out_.size()) {
-    const ssize_t n = ::send(fd_, out_.data() + out_offset_,
-                             out_.size() - out_offset_, MSG_NOSIGNAL);
-    if (n > 0) {
-      out_offset_ += static_cast<size_t>(n);
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return IoResult::kOk;
-    if (errno == EINTR) continue;
-    return IoResult::kClosed;  // EPIPE/ECONNRESET: peer is gone
-  }
-  return IoResult::kOk;
+IoResult Connection::Flush() {
+  return WriteAvailable(fd_, out_, &out_offset_);
 }
 
 }  // namespace uots

@@ -1,9 +1,10 @@
 // Per-connection state: a non-blocking socket with buffered frame I/O.
 //
 // A Connection owns its fd, the incremental FrameDecoder for the inbound
-// byte stream, and the outbound buffer. It performs the raw reads/writes;
-// everything above (frame handling, timers, epoll registration) belongs to
-// the server, which is the only thread that ever touches a Connection.
+// byte stream, and the outbound buffer. It reads and writes through
+// server/socket.h; everything above (frame handling, timers, epoll
+// registration) belongs to the server, which is the only thread that ever
+// touches a Connection.
 //
 // Responses leave in request order. Each inbound frame takes the next
 // sequence number when it is read, and a response is queued for writing
@@ -21,6 +22,7 @@
 #include <string_view>
 
 #include "server/protocol.h"
+#include "server/socket.h"
 #include "server/timer_heap.h"
 
 namespace uots {
@@ -39,12 +41,8 @@ class Connection {
   int fd() const { return fd_; }
   bool closed() const { return fd_ < 0; }
 
-  enum class IoResult {
-    kOk,     ///< progress made (possibly zero bytes, EAGAIN)
-    kClosed  ///< peer closed or fatal socket error; caller should drop us
-  };
-
-  /// Drains the socket into the frame decoder (until EAGAIN).
+  /// Reads the socket into the frame decoder; kClosed comes after the
+  /// bytes read are appended, so Poll before acting on it.
   IoResult ReadAvailable();
 
   /// The inbound frame stream; Poll after every ReadAvailable.

@@ -1,17 +1,12 @@
 #include "server/http.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cctype>
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
+
+#include "server/socket.h"
 
 namespace uots {
 
@@ -121,58 +116,23 @@ Result<HttpFetchResult> HttpFetch(const std::string& host, uint16_t port,
                                   const std::string& path_and_query,
                                   const std::string& method,
                                   double timeout_ms) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return Status::IOError("socket: " + std::string(std::strerror(errno)));
-  }
+  const Result<int> fd = ConnectTcp(host, port, timeout_ms);
+  if (!fd.ok()) return fd.status();
   struct FdCloser {
     int fd;
     ~FdCloser() { ::close(fd); }
-  } closer{fd};
+  } closer{*fd};
 
-  timeval tv;
-  tv.tv_sec = static_cast<time_t>(timeout_ms / 1000.0);
-  tv.tv_usec = static_cast<suseconds_t>(
-      (timeout_ms - static_cast<double>(tv.tv_sec) * 1000.0) * 1000.0);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad address: " + host);
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    return Status::IOError("connect: " + std::string(std::strerror(errno)));
-  }
-
-  std::string req = method + " " + path_and_query + " HTTP/1.0\r\nHost: " +
-                    host + "\r\n\r\n";
-  size_t sent = 0;
-  while (sent < req.size()) {
-    const ssize_t n = ::send(fd, req.data() + sent, req.size() - sent, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return Status::IOError("send: " + std::string(std::strerror(errno)));
-    }
-    sent += static_cast<size_t>(n);
-  }
-
+  UOTS_RETURN_NOT_OK(SendAll(*fd, method + " " + path_and_query +
+                                      " HTTP/1.0\r\nHost: " + host +
+                                      "\r\n\r\n"));
   std::string raw;
   char buf[4096];
   for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n == 0) break;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::DeadlineExceeded("admin fetch timed out");
-      }
-      return Status::IOError("recv: " + std::string(std::strerror(errno)));
-    }
-    raw.append(buf, static_cast<size_t>(n));
+    const Result<size_t> n = RecvSome(*fd, buf, sizeof(buf));
+    if (!n.ok()) return n.status();
+    if (*n == 0) break;
+    raw.append(buf, *n);
   }
 
   const size_t header_end = raw.find("\r\n\r\n");

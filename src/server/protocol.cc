@@ -166,8 +166,10 @@ Status ReadRequestEnvelope(const JsonValue& o, size_t max_locations,
     req->query.k = static_cast<int>(kk);
   }
   if (const JsonValue* dl = o.Find("deadline_ms")) {
-    if (!dl->is_number() || dl->number_value() < 0.0) {
-      return Status::InvalidArgument("deadline_ms must be a number >= 0");
+    if (!dl->is_number() || dl->number_value() < 0.0 ||
+        dl->number_value() > kMaxDeadlineMs) {
+      return Status::InvalidArgument(
+          "deadline_ms must be a number in [0, 1e12]");
     }
     req->deadline_ms = dl->number_value();
   }

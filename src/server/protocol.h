@@ -20,7 +20,8 @@
 //    "keywords": [3, 15],          // term ids
 //    "lambda": 0.5, "k": 10,
 //    "algorithm": "UOTS",          // optional; ToString(AlgorithmKind) name
-//    "deadline_ms": 50}            // optional; 0/absent = server default
+//    "deadline_ms": 50}            // optional, 0..1e12 (kMaxDeadlineMs);
+//                                  // 0/absent = server default
 //
 // Response object:
 //   {"id": 7, "request_id": "cli-42",  // echoed byte-for-byte (or generated)
@@ -131,6 +132,11 @@ enum class CacheMode {
 /// Client-supplied request_id values longer than this are rejected as a
 /// parse error (they would bloat logs and slow-log entries).
 inline constexpr size_t kMaxRequestIdBytes = 128;
+
+/// The largest deadline_ms a request may carry, about 31.7 years. Past
+/// ~9.2e12 ms the deadline in nanoseconds no longer fits an int64_t; larger
+/// values are rejected as a parse error.
+inline constexpr double kMaxDeadlineMs = 1e12;
 
 /// \brief The fields every query and trip request carries.
 ///

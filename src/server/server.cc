@@ -1,22 +1,16 @@
 #include "server/server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <iterator>
 #include <utility>
 #include <vector>
 
 #include "cache/distance_field_cache.h"
+#include "server/socket.h"
 #include "storage/resolver.h"
 #include "storage/snapshot_writer.h"
 #include "util/timer.h"
@@ -26,14 +20,8 @@ namespace uots {
 
 namespace {
 
-Status SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::IOError("fcntl(O_NONBLOCK): " +
-                           std::string(std::strerror(errno)));
-  }
-  return Status::OK();
-}
+/// Pending connections the kernel queues on the query listener.
+constexpr int kListenBacklog = 128;
 
 /// FNV-1a over the request-id string, folded to a non-negative int64 — the
 /// numeric span id that joins a trace span back to its request id.
@@ -163,36 +151,11 @@ Status UotsServer::Start() {
   start_steady_ns_ = EventLoop::NowNs();
   start_unix_ms_ = SlowLogNowUnixMs();
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError("socket: " + std::string(std::strerror(errno)));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(opts_.port);
-  if (::inet_pton(AF_INET, opts_.bind_address.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad bind address: " + opts_.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    return Status::IOError("bind: " + std::string(std::strerror(errno)));
-  }
-  if (::listen(listen_fd_, opts_.listen_backlog) < 0) {
-    return Status::IOError("listen: " + std::string(std::strerror(errno)));
-  }
-  UOTS_RETURN_NOT_OK(SetNonBlocking(listen_fd_));
-
-  // Recover the actual port (meaningful when opts_.port == 0).
-  sockaddr_in bound;
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0) {
-    port_ = ntohs(bound.sin_port);
-  }
+  Result<TcpListener> listener =
+      ListenTcp(opts_.bind_address, opts_.port, kListenBacklog);
+  if (!listener.ok()) return listener.status();
+  listen_fd_ = listener->fd;
+  port_ = listener->port;
 
   UOTS_RETURN_NOT_OK(loop_.AddFd(listen_fd_, EPOLLIN, [this](uint32_t) {
     OnAcceptReady();
@@ -261,21 +224,13 @@ void UotsServer::RecordSlowLog(const RequestCtx& ctx, const char* status_name,
 
 void UotsServer::OnAcceptReady() {
   for (;;) {
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      return;  // transient (EMFILE, ECONNABORTED): retry on next readiness
-    }
+    const int fd = AcceptTcp(listen_fd_);
+    if (fd < 0) return;
     if (draining_ || conns_.size() >= opts_.max_connections) {
       ++counters_.connections_rejected;
       ::close(fd);
       continue;
     }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
     const uint64_t id = next_conn_id_++;
     auto conn = std::make_unique<Connection>(id, fd, opts_.max_frame_bytes);
     Connection* raw = conn.get();
@@ -311,7 +266,7 @@ void UotsServer::Send(Connection* conn, uint64_t seq, const Response& resp) {
     body = EncodeResponse(resp);
   }
   conn->QueueResponse(seq, std::move(body));
-  if (conn->Flush() == Connection::IoResult::kClosed) {
+  if (conn->Flush() == IoResult::kClosed) {
     CloseConnection(conn->id());
     return;
   }
@@ -339,7 +294,7 @@ void UotsServer::OnConnEvent(uint64_t conn_id, uint32_t events) {
     return;
   }
   if (events & EPOLLOUT) {
-    if (conn->Flush() == Connection::IoResult::kClosed) {
+    if (conn->Flush() == IoResult::kClosed) {
       CloseConnection(conn_id);
       return;
     }
@@ -351,7 +306,7 @@ void UotsServer::OnConnEvent(uint64_t conn_id, uint32_t events) {
     UpdateWriteInterest(conn);
   }
   if (events & EPOLLIN) {
-    const Connection::IoResult r = conn->ReadAvailable();
+    const IoResult r = conn->ReadAvailable();
     conn->last_read_ns = EventLoop::NowNs();
     // Drain every complete frame before deciding whether to close: the
     // peer may have pipelined requests ahead of its half-close.
@@ -376,7 +331,7 @@ void UotsServer::OnConnEvent(uint64_t conn_id, uint32_t events) {
       // HandleFrame may have closed the connection (write failure).
       if (conns_.find(conn_id) == conns_.end()) return;
     }
-    if (r == Connection::IoResult::kClosed) {
+    if (r == IoResult::kClosed) {
       if (conn->inflight > 0 || conn->want_write()) {
         // Let in-flight responses finish writing, then drop.
         conn->close_after_flush = true;

@@ -52,7 +52,6 @@ namespace uots {
 struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;  ///< 0 = ephemeral (read the bound port from port())
-  int listen_backlog = 128;
   size_t max_connections = 1024;
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Connections idle (no bytes read) this long are closed; 0 disables.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/query.h"
+#include "core/temporal.h"
 #include "core/topk.h"
 
 namespace uots {
@@ -96,6 +97,22 @@ TEST(TopK, TiesBrokenByAscendingId) {
   EXPECT_EQ(items[0].id, 9u);
   EXPECT_EQ(items[1].id, 1u);
   EXPECT_EQ(items[2].id, 5u);
+
+  // At the boundary of a full accumulator, an equal-score offer with a
+  // lower id displaces the kept item, for both item types.
+  TopK<ScoredTrajectory> one(1);
+  one.Offer(ScoredTrajectory{5, 0.5, 0, 0});
+  one.Offer(ScoredTrajectory{1, 0.5, 0, 0});
+  const auto kept = std::move(one).Finish();
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].id, 1u);
+
+  TopK<TemporalScoredTrajectory> one_3d(1);
+  one_3d.Offer(TemporalScoredTrajectory{5, 0.5, 0, 0, 0});
+  one_3d.Offer(TemporalScoredTrajectory{1, 0.5, 0, 0, 0});
+  const auto kept_3d = std::move(one_3d).Finish();
+  ASSERT_EQ(kept_3d.size(), 1u);
+  EXPECT_EQ(kept_3d[0].id, 1u);
 }
 
 TEST(TopK, FewerItemsThanK) {

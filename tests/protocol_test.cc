@@ -392,6 +392,8 @@ TEST(ProtocolTest, RequestEnvelopeChecksHoldForQueriesAndTrips) {
       {"deadline_ms", "-1", false},
       {"deadline_ms", "\"soon\"", false},
       {"deadline_ms", "0", true},
+      {"deadline_ms", "1e13", false},
+      {"deadline_ms", "1e12", true},
       {"cache", "\"maybe\"", false},
       {"cache", "7", false},
       {"cache", "\"bypass\"", true},

@@ -9,6 +9,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -841,6 +842,59 @@ TEST(ServerIntegrationTest, CancelledDeadlineTimersDoNotGrowTheTimerHeap) {
       << "heap nodes after " << kRequests << " cancelled deadline timers";
 }
 
+// --- half-close ------------------------------------------------------------
+
+/// Every byte the peer sends on `fd` until it closes (or 10 s pass).
+std::string ReadToEof(int fd) {
+  timeval tv{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  std::string got;
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) return got;
+    got.append(buf, static_cast<size_t>(n));
+  }
+}
+
+TEST(ServerIntegrationTest, AnswersFramesSentBeforeAHalfClose) {
+  auto db = MakeTestDb();
+  ServerFixture fx(*db);
+  const auto queries = MakeQueries(*db, 2);
+
+  // Two pipelined frames, then the client's FIN: the server may read all
+  // three in one pass, and must still answer both frames, in order, before
+  // it closes.
+  std::string wire;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    QueryRequest req;
+    req.id = static_cast<int64_t>(i + 1);
+    req.query = queries[i];
+    AppendFrame(EncodeQueryRequest(req), &wire);
+  }
+  const int fd = ConnectRaw(fx.port());
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+  const std::string got = ReadToEof(fd);
+  ::close(fd);
+
+  FrameDecoder dec;
+  dec.Append(got.data(), got.size());
+  for (const int64_t id : {1, 2}) {
+    std::string payload;
+    ASSERT_EQ(dec.Poll(&payload), FrameDecoder::Next::kFrame)
+        << "reply " << id << " missing before the close";
+    auto resp = ParseQueryResponse(payload);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    EXPECT_EQ(resp->id, id) << "replies out of order";
+    EXPECT_TRUE(resp->ok()) << resp->error;
+  }
+  std::string extra;
+  EXPECT_EQ(dec.Poll(&extra), FrameDecoder::Next::kNeedMore)
+      << "bytes after the second reply";
+}
+
 // --- admin plane -----------------------------------------------------------
 
 ServerOptions WithAdmin(ServerOptions opts = {}) {
@@ -1270,6 +1324,26 @@ TEST(AdminIntegrationTest, MalformedAdminHttpDoesNotDisturbQueries) {
   EXPECT_EQ(AdminGet(admin_port, "/healthz").status, 200);
 }
 
+TEST(AdminIntegrationTest, AnswersARequestFollowedByAHalfClose) {
+  auto db = MakeTestDb();
+  ServerFixture fx(*db, WithAdmin());
+  const uint16_t admin_port = fx.server().admin_port();
+
+  // The request and the client's FIN usually reach the server in one read;
+  // the request is still answered before the connection closes.
+  const std::string request = "GET /healthz HTTP/1.0\r\n\r\n";
+  for (int i = 0; i < 20; ++i) {
+    const int fd = ConnectRaw(admin_port);
+    ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+    ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+    const std::string got = ReadToEof(fd);
+    ::close(fd);
+    EXPECT_EQ(got.rfind("HTTP/1.0 200", 0), 0u)
+        << "attempt " << i << ": " << got.substr(0, 64);
+  }
+}
+
 TEST(AdminIntegrationTest, TracingSamplesSpansIntoSlowLog) {
   auto db = MakeTestDb();
   ServerFixture fx(*db, WithAdmin());
@@ -1285,6 +1359,12 @@ TEST(AdminIntegrationTest, TracingSamplesSpansIntoSlowLog) {
   auto on = AdminGet(admin_port, "/tracing?sample=1", "POST");
   ASSERT_EQ(on.status, 200);
   EXPECT_NE(on.body.find("\"sample_every\":1"), std::string::npos);
+  // A rate beyond int is refused and leaves the current rate in place.
+  EXPECT_EQ(AdminGet(admin_port, "/tracing?sample=4294967297", "POST").status,
+            400);
+  auto kept = AdminGet(admin_port, "/tracing");
+  EXPECT_NE(kept.body.find("\"sample_every\":1,"), std::string::npos)
+      << kept.body;
 
   BlockingClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", fx.port()).ok());

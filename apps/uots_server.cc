@@ -20,13 +20,15 @@
 #include <sys/signalfd.h>
 #include <unistd.h>
 
+#include <charconv>
+#include <chrono>
+#include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-
-#include <chrono>
+#include <type_traits>
 
 #include "cache/distance_field_cache.h"
 #include "common/datasets.h"
@@ -67,6 +69,21 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
   return true;
 }
 
+/// Parses all of `s` as a finite number in [lo, hi]; false otherwise.
+template <typename T>
+bool ParseNumber(const std::string& s, T lo, T hi, T* out) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [p, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || p != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) return false;
+  }
+  if (v < lo || v > hi) return false;
+  *out = v;
+  return true;
+}
+
 void Usage(const char* argv0) {
   std::fprintf(
       stderr,
@@ -88,36 +105,38 @@ int main(int argc, char** argv) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
     std::string v;
+    bool ok = true;  // false: the flag's value is malformed or out of range
     if (ParseFlag(argv[i], "--bind", &v)) {
       flags.bind = v;
     } else if (ParseFlag(argv[i], "--port", &v)) {
-      flags.port = std::atoi(v.c_str());
+      ok = ParseNumber(v, 0, 65535, &flags.port);
     } else if (ParseFlag(argv[i], "--city", &v)) {
       flags.city = v;
     } else if (ParseFlag(argv[i], "--dataset", &v)) {
       flags.dataset = v;
     } else if (ParseFlag(argv[i], "--trajectories", &v)) {
-      flags.trajectories = std::atoi(v.c_str());
+      ok = ParseNumber(v, 0, INT_MAX, &flags.trajectories);
     } else if (ParseFlag(argv[i], "--threads", &v)) {
-      flags.threads = std::atoi(v.c_str());
+      ok = ParseNumber(v, 0, INT_MAX, &flags.threads);
     } else if (ParseFlag(argv[i], "--max-inflight", &v)) {
-      flags.max_inflight = std::atoi(v.c_str());
+      ok = ParseNumber(v, 0, INT_MAX, &flags.max_inflight);
     } else if (ParseFlag(argv[i], "--default-deadline-ms", &v)) {
-      flags.default_deadline_ms = std::atof(v.c_str());
+      ok = ParseNumber(v, 0.0, uots::kMaxDeadlineMs,
+                       &flags.default_deadline_ms);
     } else if (ParseFlag(argv[i], "--idle-timeout-ms", &v)) {
-      flags.idle_timeout_ms = std::atof(v.c_str());
+      ok = ParseNumber(v, 0.0, uots::kMaxDeadlineMs, &flags.idle_timeout_ms);
     } else if (ParseFlag(argv[i], "--drain-timeout-ms", &v)) {
-      flags.drain_timeout_ms = std::atof(v.c_str());
+      ok = ParseNumber(v, 0.0, uots::kMaxDeadlineMs, &flags.drain_timeout_ms);
     } else if (ParseFlag(argv[i], "--max-connections", &v)) {
-      flags.max_connections = std::atoi(v.c_str());
+      ok = ParseNumber(v, 0, INT_MAX, &flags.max_connections);
     } else if (ParseFlag(argv[i], "--cache-max-entries", &v)) {
-      flags.cache_max_entries = std::atoi(v.c_str());
+      ok = ParseNumber(v, 0, INT_MAX, &flags.cache_max_entries);
     } else if (ParseFlag(argv[i], "--cache-ttl-ms", &v)) {
-      flags.cache_ttl_ms = std::atof(v.c_str());
+      ok = ParseNumber(v, 0.0, uots::kMaxDeadlineMs, &flags.cache_ttl_ms);
     } else if (ParseFlag(argv[i], "--cache-shards", &v)) {
-      flags.cache_shards = std::atoi(v.c_str());
+      ok = ParseNumber(v, 0, INT_MAX, &flags.cache_shards);
     } else if (ParseFlag(argv[i], "--distance-cache-mb", &v)) {
-      flags.distance_cache_mb = std::atoi(v.c_str());
+      ok = ParseNumber(v, 0, INT_MAX, &flags.distance_cache_mb);
     } else if (ParseFlag(argv[i], "--oracle", &v)) {
       if (v != "on" && v != "off") {
         std::fprintf(stderr, "--oracle takes on or off\n");
@@ -125,14 +144,18 @@ int main(int argc, char** argv) {
       }
       flags.oracle = v == "on";
     } else if (ParseFlag(argv[i], "--admin-port", &v)) {
-      flags.admin_port = std::atoi(v.c_str());
+      ok = ParseNumber(v, 0, 65535, &flags.admin_port);
     } else if (ParseFlag(argv[i], "--admin-bind", &v)) {
       flags.admin_bind = v;
     } else if (ParseFlag(argv[i], "--compact-snapshot", &v)) {
       flags.compact_snapshot = v;
     } else if (ParseFlag(argv[i], "--compact-interval-ms", &v)) {
-      flags.compact_interval_ms = std::atof(v.c_str());
+      ok = ParseNumber(v, 0.0, uots::kMaxDeadlineMs,
+                       &flags.compact_interval_ms);
     } else {
+      ok = false;
+    }
+    if (!ok) {
       Usage(argv[0]);
       return 2;
     }
@@ -174,6 +197,9 @@ int main(int argc, char** argv) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
   }
+  // Built before the memory report so the report counts it, and before
+  // serving so no request pays for it.
+  if (flags.oracle && db->oracle() != nullptr) db->oracle()->core();
   const uots::MemoryBreakdown mem = db->Memory();
   std::printf(
       "dataset: %zu vertices, %zu trajectories, %zu terms (%s, %.3fs)\n"
@@ -269,11 +295,14 @@ int main(int argc, char** argv) {
   if (dcache != nullptr) {
     std::printf("distance cache: %d MB\n", flags.distance_cache_mb);
   }
-  if (shared_db->oracle() != nullptr) {
+  if (const uots::DistanceOracle* oracle = shared_db->oracle()) {
     std::printf("distance oracle: %zu vertices, %zu upward arcs (%s)\n",
-                shared_db->oracle()->NumVertices(),
-                shared_db->oracle()->NumUpEdges(),
+                oracle->NumVertices(), oracle->NumUpEdges(),
                 flags.oracle ? "on" : "off");
+    if (flags.oracle) {
+      std::printf("oracle core table: %u nodes, built in %.1f ms\n",
+                  oracle->core().size, oracle->core().build_ms);
+    }
   }
   if (!flags.compact_snapshot.empty()) {
     std::printf("compaction: -> %s (%s)\n", flags.compact_snapshot.c_str(),

@@ -24,12 +24,15 @@ declare -A builddir=([release]=build [asan]=build-asan
 # against live queries; the batch, thread-pool, trace, util, fuzz and
 # threshold-pairs tests run engines and spans on pool workers; the
 # inverted-index test holds the threaded regression test for the shared
-# keyword-scoring scratch race. The rest of the suite is single-threaded.
+# keyword-scoring scratch race; in the oracle test four queriers race to
+# build one oracle's core distance table. The rest of the suite is
+# single-threaded.
 tsan_tests=(uots_server_integration_test uots_trip_server_test
             uots_cache_test uots_ingest_test uots_batch_abort_test
             uots_batch_workload_test uots_inverted_index_test
             uots_thread_pool_test uots_trace_test uots_util_test
-            uots_fuzz_consistency_test uots_threshold_pairs_test)
+            uots_fuzz_consistency_test uots_threshold_pairs_test
+            uots_oracle_test)
 # Output checks read the whole stream (`grep ... >/dev/null`, not `grep -q`):
 # under pipefail, `grep -q` exiting at its first match makes a writer still
 # sending (curl) fail with EPIPE, which fails the step although the match
@@ -99,6 +102,17 @@ for preset in "${presets[@]}"; do
     "${builddir[${preset}]}/apps/uots_snapshot" build --out="${snap}" \
       --gen-rows=20 --gen-cols=20 --gen-trips=400
     "${builddir[${preset}]}/apps/uots_snapshot" verify "${snap}"
+    # Flag drill: an out-of-range port or ms value must stop the server
+    # with exit 2 before it serves (it used to wrap the port to 16 bits or
+    # overflow the ms -> ns conversion).
+    echo "==> ${preset}: out-of-range server flags"
+    for bad in --port=70000 --default-deadline-ms=1e13; do
+      rc=0
+      timeout 5 "${builddir[${preset}]}/apps/uots_server" \
+        --dataset="${snap}" "${bad}" >/dev/null 2>&1 || rc=$?
+      echo "uots_server ${bad}: exit ${rc}"
+      [[ "${rc}" == 2 ]]
+    done
     rm -f "${snap}"
     ctest --preset "${preset}" -R uots_snapshot_test --output-on-failure
     # Oracle drill: contract a network, bake the CH oracle into a v2
@@ -122,7 +136,9 @@ for preset in "${presets[@]}"; do
       # bench_trip on any oracle-vs-Dijkstra trip connector mismatch.
       # Release only: they are benches, too slow under the sanitizers.
       echo "==> release: oracle and trip bench gates"
-      "${builddir[release]}/bench/bench_oracle" --sizes=40 --queries=8 \
+      # The 126x126 grid's core table covers 3% of its 15,876 vertices, so
+      # its lookups sweep far below the core before joining through it.
+      "${builddir[release]}/bench/bench_oracle" --sizes=40,126 --queries=8 \
         --pairs=2000 --json-out="${builddir[release]}/check-oracle.json"
       "${builddir[release]}/bench/bench_trip" --trajectories=2000 \
         --queries=24 --locations=2,4 \

@@ -262,6 +262,52 @@ class Contractor {
   DaryHeap<4> queue_;
 };
 
+/// Fills the core table of `oracle` (see ch_oracle.h). Row a starts at 0
+/// on core node a. The up pass visits the core in increasing rank, so a
+/// node's upward distance is final before its arcs are relaxed; the down
+/// pass visits it in decreasing rank, so every arc's head already holds
+/// its up-down distance from a when its tail takes the minimum over its
+/// arcs. Both passes run over the core arcs renumbered to core indices.
+OracleCore BuildCore(const DistanceOracle& oracle) {
+  WallTimer timer;
+  OracleCore core;
+  const auto n = static_cast<uint32_t>(oracle.NumVertices());
+  const uint32_t c = std::min(n, DistanceOracle::kCoreSize);
+  core.first = n - c;
+  core.size = c;
+  std::vector<uint32_t> offsets(c + 1, 0);
+  std::vector<uint32_t> heads;
+  std::vector<double> weights;
+  for (uint32_t a = 0; a < c; ++a) {
+    for (const OracleEdge& e : oracle.UpNeighbors(core.first + a)) {
+      heads.push_back(e.to - core.first);
+      weights.push_back(e.weight);
+    }
+    offsets[a + 1] = static_cast<uint32_t>(heads.size());
+  }
+  core.dist.assign(static_cast<size_t>(c) * c, kInfDistance);
+  for (uint32_t a = 0; a < c; ++a) {
+    double* row = core.dist.data() + static_cast<size_t>(a) * c;
+    row[a] = 0.0;
+    for (uint32_t x = a; x < c; ++x) {
+      const double d = row[x];
+      if (d == kInfDistance) continue;  // not above a
+      for (uint32_t i = offsets[x]; i < offsets[x + 1]; ++i) {
+        row[heads[i]] = std::min(row[heads[i]], d + weights[i]);
+      }
+    }
+    for (uint32_t x = c; x-- > 0;) {
+      double d = row[x];
+      for (uint32_t i = offsets[x]; i < offsets[x + 1]; ++i) {
+        d = std::min(d, row[heads[i]] + weights[i]);
+      }
+      row[x] = d;
+    }
+  }
+  core.build_ms = timer.ElapsedMillis();
+  return core;
+}
+
 }  // namespace
 
 Result<DistanceOracle> DistanceOracle::Build(const RoadNetwork& g,
@@ -366,11 +412,22 @@ Status DistanceOracle::Validate() const {
   return Status::OK();
 }
 
+const OracleCore& DistanceOracle::core() const {
+  std::call_once(core_->once, [this] {
+    core_->table = BuildCore(*this);
+    core_->built.store(true, std::memory_order_release);
+  });
+  return core_->table;
+}
+
 MemoryBreakdown DistanceOracle::Memory() const {
   MemoryBreakdown m;
   m += ranks_.Memory();
   m += up_offsets_.Memory();
   m += up_edges_.Memory();
+  if (core_->built.load(std::memory_order_acquire)) {
+    m.heap_bytes += core_->table.dist.capacity() * sizeof(double);
+  }
   return m;
 }
 

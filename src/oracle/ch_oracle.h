@@ -34,13 +34,29 @@
 // The three columns (ranks, upward CSR offsets, upward arcs) are plain
 // trivially-copyable arrays, so the oracle serializes as snapshot sections
 // (storage/format.h, format v2) and loads back zero-copy via FromColumns.
+//
+// Core table: the top C = min(n, 512) rank nodes are the *core*, the dense
+// top of the hierarchy that every upward search converges into. core()
+// holds the exact distances among them, C x C doubles (2 MB at C = 512),
+// which the querier joins instead of re-sweeping the top on every lookup.
+// Every upward arc of a core node stays inside the core, and a shortest
+// path between two core nodes has an up-down form inside it (its nodes
+// outrank one endpoint or the other), so each row comes from one pass up
+// the core in rank order and one pass down in reverse rank order (PHAST's
+// order). Sums are exact as above, so each entry is bitwise the Dijkstra
+// distance. The table is derived from the columns, built once on first
+// use and never persisted.
 
 #ifndef UOTS_ORACLE_CH_ORACLE_H_
 #define UOTS_ORACLE_CH_ORACLE_H_
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <type_traits>
+#include <vector>
 
 #include "net/graph.h"
 #include "util/column_vec.h"
@@ -77,9 +93,26 @@ struct OracleBuildStats {
   uint64_t witness_settled = 0;    ///< vertices settled across all of them
 };
 
+/// \brief Exact distances among the core: the top `size` rank nodes,
+/// [first, first + size).
+struct OracleCore {
+  uint32_t first = 0;        ///< lowest core rank node
+  uint32_t size = 0;         ///< C = min(NumVertices(), kCoreSize)
+  std::vector<double> dist;  ///< C x C row-major, kInfDistance if disconnected
+  double build_ms = 0.0;     ///< wall time of the table build
+
+  /// Distances from core node first + a to every core node, by core index.
+  const double* Row(uint32_t a) const {
+    return dist.data() + static_cast<size_t>(a) * size;
+  }
+};
+
 /// \brief Immutable contraction hierarchy: ranks plus the upward CSR.
 class DistanceOracle {
  public:
+  /// Upper bound on the core's node count.
+  static constexpr uint32_t kCoreSize = 512;
+
   /// Contracts every vertex of `g` and assembles the upward graph.
   /// Works on disconnected networks too (components never interact).
   static Result<DistanceOracle> Build(const RoadNetwork& g,
@@ -119,6 +152,12 @@ class DistanceOracle {
   /// target. Used by tests and the `--oracle` build path.
   Status Validate() const;
 
+  /// The core distance table. The first call builds it (~6 ms at
+  /// BRN-15k); concurrent and later calls return the same object. Every
+  /// OracleQuerier calls it on construction.
+  const OracleCore& core() const;
+
+  /// The columns, plus the core table once it is built.
   MemoryBreakdown Memory() const;
 
  private:
@@ -127,6 +166,15 @@ class DistanceOracle {
   ColumnVec<uint32_t> ranks_;       ///< original vertex id -> rank node
   ColumnVec<uint64_t> up_offsets_;  ///< rank-indexed; size NumVertices()+1
   ColumnVec<OracleEdge> up_edges_;  ///< upward arcs, sorted by target per slice
+
+  /// The lazily built core table; behind a pointer so the oracle stays
+  /// movable. `built` lets Memory() read it without joining the build.
+  struct LazyCore {
+    std::once_flag once;
+    std::atomic<bool> built{false};
+    OracleCore table;
+  };
+  std::unique_ptr<LazyCore> core_ = std::make_unique<LazyCore>();
 };
 
 }  // namespace uots

@@ -4,6 +4,7 @@ namespace uots {
 
 OracleQuerier::OracleQuerier(const DistanceOracle& oracle)
     : oracle_(&oracle),
+      core_(&oracle.core()),
       pending_((oracle.NumVertices() + 63) / 64, 0),
       bucket_head_(oracle.NumVertices()),
       row_of_(oracle.NumVertices()) {
@@ -14,10 +15,9 @@ OracleQuerier::OracleQuerier(const DistanceOracle& oracle)
 double OracleQuerier::Distance(VertexId s, VertexId t) {
   ++lookups_;
   if (s == t) return 0.0;
-  // The forward side runs to exhaustion (upward search spaces are tiny);
-  // the backward side probes its labels at every scanned node and leaves
-  // a node unrelaxed once its own label reaches the best meet, since every
-  // label above it would be at least as long.
+  // The backward side probes the forward labels at every scanned node and
+  // leaves a node unrelaxed once its own label reaches the best meet,
+  // since every label above it would be at least as long.
   SweepFrom(s, &fwd_, [](uint32_t, double) { return true; });
   double best = kInfDistance;
   SweepFrom(t, &up_, [&](uint32_t u, double d) {
@@ -25,7 +25,47 @@ double OracleQuerier::Distance(VertexId s, VertexId t) {
     if (meet < best) best = meet;
     return d < best;
   });
+  // The join reads one table row per source entry against the target
+  // entries that can still beat `best`, packed as core columns and labels;
+  // two running minima let consecutive columns' loads overlap.
+  const uint32_t first = core_->first;
+  join_col_.clear();
+  join_label_.clear();
+  for (const uint32_t b : up_.entries) {
+    if (up_.dist[b] < best) {
+      join_col_.push_back(b - first);
+      join_label_.push_back(up_.dist[b]);
+    }
+  }
+  const size_t nb = join_col_.size();
+  for (const uint32_t a : fwd_.entries) {
+    const double fa = fwd_.dist[a];
+    if (fa >= best) continue;  // table entries are non-negative
+    const double* row = core_->Row(a - first);
+    double m0 = kInfDistance;
+    double m1 = kInfDistance;
+    size_t j = 0;
+    for (; j + 1 < nb; j += 2) {
+      m0 = std::min(m0, row[join_col_[j]] + join_label_[j]);
+      m1 = std::min(m1, row[join_col_[j + 1]] + join_label_[j + 1]);
+    }
+    if (j < nb) m0 = std::min(m0, row[join_col_[j]] + join_label_[j]);
+    best = std::min(best, fa + std::min(m0, m1));
+  }
   return best;
+}
+
+void OracleQuerier::JoinSourceRows(const Labels& lab, double* out) const {
+  const uint32_t first = core_->first;
+  const uint32_t c = core_->size;
+  for (size_t i = 0; i < num_sources_; ++i) {
+    const double* row = source_core_.data() + i * c;
+    double m = out[i];
+    for (const uint32_t b : lab.entries) {
+      m = std::min(m, row[b - first] + lab.dist[b]);
+    }
+    out[i] = m;
+  }
 }
 
 void OracleQuerier::BeginQuery(std::span<const VertexId> sources) {
@@ -34,6 +74,8 @@ void OracleQuerier::BeginQuery(std::span<const VertexId> sources) {
   bucket_pool_.clear();
   row_of_.Reset();
   row_pool_.clear();
+  const uint32_t c = core_->size;
+  source_core_.assign(num_sources_ * c, kInfDistance);
   for (size_t i = 0; i < sources.size(); ++i) {
     SweepFrom(sources[i], &up_, [&](uint32_t u, double d) {
       const int32_t head = bucket_head_.Get(u, -1);
@@ -41,6 +83,13 @@ void OracleQuerier::BeginQuery(std::span<const VertexId> sources) {
       bucket_pool_.push_back(BucketEntry{static_cast<uint32_t>(i), d, head});
       return true;
     });
+    // S_i[b] = min over the source's entries a of f_i[a] + D[a][b].
+    double* out = source_core_.data() + i * c;
+    for (const uint32_t a : up_.entries) {
+      const double fa = up_.dist[a];
+      const double* row = core_->Row(a - core_->first);
+      for (uint32_t b = 0; b < c; ++b) out[b] = std::min(out[b], fa + row[b]);
+    }
   }
 }
 
@@ -62,6 +111,7 @@ std::span<const double> OracleQuerier::DistancesTo(VertexId v) {
     }
     return true;
   });
+  JoinSourceRows(up_, row_pool_.data() + base);
   return {row_pool_.data() + base, num_sources_};
 }
 
@@ -83,6 +133,7 @@ std::span<const double> OracleQuerier::MinDistancesTo(
     }
     return true;
   });
+  JoinSourceRows(up_, min_row_.data());
   return {min_row_.data(), num_sources_};
 }
 

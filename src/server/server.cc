@@ -147,6 +147,21 @@ UotsServer::~UotsServer() {
 }
 
 Status UotsServer::Start() {
+  // Each of these becomes int64 nanoseconds (a timer, a deadline or a
+  // cache expiry); past kMaxDeadlineMs that conversion is undefined.
+  const std::pair<const char*, double> ms_fields[] = {
+      {"idle_timeout_ms", opts_.idle_timeout_ms},
+      {"drain_timeout_ms", opts_.drain_timeout_ms},
+      {"compact_interval_ms", opts_.compact_interval_ms},
+      {"service.default_deadline_ms", opts_.service.default_deadline_ms},
+      {"service.cache_ttl_ms", opts_.service.cache_ttl_ms},
+  };
+  for (const auto& [name, ms] : ms_fields) {
+    if (!(ms >= 0.0 && ms <= kMaxDeadlineMs)) {
+      return Status::InvalidArgument(std::string(name) +
+                                     " must be in [0, 1e12] ms");
+    }
+  }
   UOTS_RETURN_NOT_OK(loop_.Init());
   start_steady_ns_ = EventLoop::NowNs();
   start_unix_ms_ = SlowLogNowUnixMs();
@@ -594,6 +609,12 @@ void UotsServer::RunCompaction(std::shared_ptr<const TrajectoryDatabase> base,
   CompactionOutcome out = BuildCompactedSnapshot(
       *base, sealed_trips, opts_.compact_snapshot_path);
   out.sealed = sealed_trips.size();
+  // The reloaded oracle's core table is built here, off the loop, so the
+  // first lookups after the swap do not pay for it.
+  if (out.status.ok() && opts_.service.uots.use_oracle &&
+      out.db->oracle() != nullptr) {
+    out.db->oracle()->core();
+  }
   loop_.Post([this, out = std::move(out)]() mutable {
     FinishCompaction(std::move(out));
   });

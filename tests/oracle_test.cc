@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <span>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "net/generators.h"
 #include "oracle/querier.h"
 #include "storage/crc32c.h"
+#include "test_networks.h"
 #include "traj/generator.h"
 #include "util/rng.h"
 
@@ -49,6 +52,12 @@ void ExpectAllPairsExact(const RoadNetwork& g) {
           << "sd(" << s << ", " << t << ")";
     }
   }
+}
+
+RoadNetwork LargerGrid() {
+  auto g = MakeGridNetwork(LargerGridOptions());
+  EXPECT_TRUE(g.ok());
+  return std::move(*g);
 }
 
 TEST(ChOracle, AllPairsExactOnGrid) {
@@ -122,6 +131,55 @@ TEST(ChOracle, SampledPairsExactOnLargerNetworks) {
   }
 }
 
+/// 600 rim vertices joined to one hub (weight 1) plus four spokes, each
+/// joined to 400 rim vertices (weight 10). The hub witnesses every pair of
+/// a spoke's neighbours, so the spokes are contracted first with all their
+/// rim arcs upward; most rim vertices land among the top 512 ranks, and a
+/// spoke's sweep reaches ~340 core entries.
+RoadNetwork HubNetwork() {
+  constexpr int kRim = 600;
+  constexpr int kSpokes = 4;
+  GraphBuilder b;
+  for (int i = 0; i < kRim + 1 + kSpokes; ++i) {
+    b.AddVertex(Point{static_cast<double>(i), 0.0});
+  }
+  const auto hub = static_cast<VertexId>(kRim);
+  Rng rng(0x40bu);
+  for (VertexId r = 0; r < hub; ++r) b.AddEdge(r, hub, 1.0);
+  for (int k = 0; k < kSpokes; ++k) {
+    const auto spoke = static_cast<VertexId>(kRim + 1 + k);
+    std::vector<VertexId> rim(kRim);
+    for (int i = 0; i < kRim; ++i) rim[i] = static_cast<VertexId>(i);
+    for (int i = 0; i < 400; ++i) {  // 400 distinct rim vertices
+      std::swap(rim[i], rim[i + rng.Next() % (kRim - i)]);
+      b.AddEdge(spoke, rim[i], 10.0);
+    }
+  }
+  auto g = std::move(b).Finalize();
+  EXPECT_TRUE(g.ok());
+  return std::move(*g);
+}
+
+TEST(ChOracle, DenseEntrySetsStayExact) {
+  // Two spokes' entry sets hold ~340 nodes each, so Distance() joins
+  // ~115,000 entry pairs through the core table. Every answer must still
+  // be exact.
+  const RoadNetwork g = HubNetwork();
+  const DistanceOracle oracle = BuildOracle(g);
+  OracleQuerier querier(oracle);
+  const size_t n = g.NumVertices();
+  constexpr VertexId kHub = 600;  // rim vertices below it, spokes above
+  std::vector<VertexId> probes = {0, 17, 599, kHub};
+  for (VertexId s = kHub + 1; s < n; ++s) probes.push_back(s);
+  for (const VertexId s : probes) {
+    const ShortestPathTree tree = ComputeShortestPathTree(g, s);
+    for (const VertexId t : probes) {
+      EXPECT_EQ(querier.Distance(s, t), tree.dist[t])
+          << "sd(" << s << ", " << t << ")";
+    }
+  }
+}
+
 TEST(ChOracle, DisconnectedPairsAreInfinite) {
   // Two components: a path 0-1-2 and a path 3-4. Within-component
   // distances stay exact; cross-component pairs must come back infinite.
@@ -151,27 +209,26 @@ TEST(ChOracle, DisconnectedPairsAreInfinite) {
   EXPECT_EQ(row[1], kInfDistance);
 }
 
-TEST(ChOracle, BucketOneToManyMatchesPairwise) {
-  GridNetworkOptions opts;
-  opts.rows = 14;
-  opts.cols = 14;
-  opts.seed = 31;
-  auto g = MakeGridNetwork(opts);
-  ASSERT_TRUE(g.ok());
-  const DistanceOracle oracle = BuildOracle(*g);
+/// One-to-many rows against pairwise lookups; half the sources and
+/// targets are core vertices.
+void ExpectBucketRowsMatchPairwise(const RoadNetwork& g) {
+  const DistanceOracle oracle = BuildOracle(g);
   OracleQuerier bucket(oracle);
   OracleQuerier pairwise(oracle);
+  const std::vector<VertexId> core = CoreVertices(oracle);
 
   Rng rng(0x5eedu);
-  const size_t n = g->NumVertices();
+  const size_t n = g.NumVertices();
+  const auto pick = [&](int i) {
+    return i % 2 == 0 ? static_cast<VertexId>(rng.Next() % n)
+                      : core[rng.Next() % core.size()];
+  };
   for (int round = 0; round < 6; ++round) {
     std::vector<VertexId> sources;
-    for (int i = 0; i < 4; ++i) {
-      sources.push_back(static_cast<VertexId>(rng.Next() % n));
-    }
+    for (int i = 0; i < 4; ++i) sources.push_back(pick(i));
     bucket.BeginQuery(sources);
     for (int j = 0; j < 30; ++j) {
-      const auto v = static_cast<VertexId>(rng.Next() % n);
+      const VertexId v = pick(j);
       const auto row = bucket.DistancesTo(v);
       ASSERT_EQ(row.size(), sources.size());
       for (size_t i = 0; i < sources.size(); ++i) {
@@ -182,23 +239,27 @@ TEST(ChOracle, BucketOneToManyMatchesPairwise) {
   }
 }
 
-/// The 12x12 grid of `seed` plus a detached three-vertex path (ids n..n+2),
-/// so set and source vertices can sit in different components.
-RoadNetwork GridWithDetachedPath(uint64_t seed) {
+TEST(ChOracle, BucketOneToManyMatchesPairwise) {
   GridNetworkOptions opts;
-  opts.rows = 12;
-  opts.cols = 12;
-  opts.removal_rate = 0.1;
-  opts.seed = seed;
-  auto grid = MakeGridNetwork(opts);
-  EXPECT_TRUE(grid.ok());
+  opts.rows = 14;
+  opts.cols = 14;
+  opts.seed = 31;
+  auto g = MakeGridNetwork(opts);
+  ASSERT_TRUE(g.ok());
+  ExpectBucketRowsMatchPairwise(*g);
+  ExpectBucketRowsMatchPairwise(LargerGrid());
+}
+
+/// `grid` plus a detached three-vertex path (ids n..n+2), so set and
+/// source vertices can sit in different components.
+RoadNetwork WithDetachedPath(const RoadNetwork& grid) {
   GraphBuilder b;
-  const size_t n = grid->NumVertices();
+  const size_t n = grid.NumVertices();
   for (VertexId v = 0; v < static_cast<VertexId>(n); ++v) {
-    b.AddVertex(grid->PositionOf(v));
+    b.AddVertex(grid.PositionOf(v));
   }
   for (VertexId v = 0; v < static_cast<VertexId>(n); ++v) {
-    for (const AdjacencyEntry& e : grid->Neighbors(v)) {
+    for (const AdjacencyEntry& e : grid.Neighbors(v)) {
       if (v < e.to) b.AddEdge(v, e.to, e.weight);
     }
   }
@@ -211,20 +272,38 @@ RoadNetwork GridWithDetachedPath(uint64_t seed) {
   return std::move(*g);
 }
 
-TEST(ChOracle, MinDistancesToMatchesDijkstraSetMinimum) {
-  const RoadNetwork g = GridWithDetachedPath(13);
+/// The 12x12 grid of `seed` with a detached path.
+RoadNetwork GridWithDetachedPath(uint64_t seed) {
+  GridNetworkOptions opts;
+  opts.rows = 12;
+  opts.cols = 12;
+  opts.removal_rate = 0.1;
+  opts.seed = seed;
+  auto grid = MakeGridNetwork(opts);
+  EXPECT_TRUE(grid.ok());
+  return WithDetachedPath(*grid);
+}
+
+/// Set minima, rows and an interleaved pairwise call against Dijkstra on
+/// `g`, whose last three vertices are a detached path. Half the sources
+/// and a core vertex in every set come from the top kCoreSize ranks.
+void ExpectSetMinimaMatchDijkstra(const RoadNetwork& g) {
   const size_t n = g.NumVertices();
   const auto far = static_cast<VertexId>(n - 3);  // the detached path
   const DistanceOracle oracle = BuildOracle(g);
   OracleQuerier querier(oracle);
+  const std::vector<VertexId> core = CoreVertices(oracle);
 
   Rng rng(0xc0ffeeu);
   const auto random_vertex = [&] {
     return static_cast<VertexId>(rng.Next() % far);
   };
+  const auto core_vertex = [&] { return core[rng.Next() % core.size()]; };
   for (int round = 0; round < 5; ++round) {
     std::vector<VertexId> sources;
-    for (int i = 0; i < 4; ++i) sources.push_back(random_vertex());
+    for (int i = 0; i < 4; ++i) {
+      sources.push_back(i % 2 == 0 ? random_vertex() : core_vertex());
+    }
     if (round == 4) sources.push_back(far + 1);
     std::vector<ShortestPathTree> trees;
     for (const VertexId s : sources) {
@@ -256,11 +335,13 @@ TEST(ChOracle, MinDistancesToMatchesDijkstraSetMinimum) {
       std::vector<VertexId> set;
       const int size = 2 + static_cast<int>(rng.Next() % 7);
       for (int k = 0; k < size; ++k) set.push_back(random_vertex());
+      set.push_back(core_vertex());
       set.push_back(set[rng.Next() % set.size()]);  // a duplicate vertex
       expect_set_minimum(set);
     }
     expect_set_minimum({random_vertex(), sources[0], random_vertex()});
     expect_set_minimum({random_vertex()});
+    expect_set_minimum({core_vertex()});
     expect_set_minimum({});
     expect_set_minimum({far + 2, random_vertex()});
     expect_set_minimum({far, far + 2});
@@ -274,8 +355,14 @@ TEST(ChOracle, MinDistancesToMatchesDijkstraSetMinimum) {
     EXPECT_EQ(querier.Distance(a, b), ComputeShortestPathTree(g, a).dist[b]);
     expect_row(v);                 // memoized row
     expect_row(random_vertex());   // fresh row after the pairwise call
+    expect_row(core_vertex());
     expect_set_minimum({v, a, b});
   }
+}
+
+TEST(ChOracle, MinDistancesToMatchesDijkstraSetMinimum) {
+  ExpectSetMinimaMatchDijkstra(GridWithDetachedPath(13));
+  ExpectSetMinimaMatchDijkstra(WithDetachedPath(LargerGrid()));
 }
 
 /// CRC32C of one hierarchy column's raw bytes.
@@ -429,21 +516,113 @@ TEST(ChOracle, FromColumnsRoundTripsAndValidates) {
   EXPECT_FALSE(corrupt.Validate().ok());
 }
 
+/// Checks every core table entry against a Dijkstra tree, bitwise; returns
+/// how many entries are infinite (pairs in different components).
+size_t ExpectCoreTableExact(const RoadNetwork& g) {
+  const DistanceOracle oracle = BuildOracle(g);
+  const OracleCore& core = oracle.core();
+  const size_t n = g.NumVertices();
+  EXPECT_EQ(core.size, std::min<size_t>(n, DistanceOracle::kCoreSize));
+  EXPECT_EQ(core.first, n - core.size);
+  EXPECT_EQ(core.dist.size(), size_t{core.size} * core.size);
+  std::vector<VertexId> vertex_of(core.size);
+  for (VertexId v = 0; v < static_cast<VertexId>(n); ++v) {
+    if (oracle.RankOf(v) >= core.first) {
+      vertex_of[oracle.RankOf(v) - core.first] = v;
+    }
+  }
+  size_t mismatches = 0;
+  size_t infinite = 0;
+  for (uint32_t a = 0; a < core.size; ++a) {
+    const ShortestPathTree tree = ComputeShortestPathTree(g, vertex_of[a]);
+    const double* row = core.Row(a);
+    for (uint32_t b = 0; b < core.size; ++b) {
+      const double want = tree.dist[vertex_of[b]];
+      if (std::bit_cast<uint64_t>(row[b]) != std::bit_cast<uint64_t>(want)) {
+        if (mismatches++ == 0) {
+          ADD_FAILURE() << "D[" << a << "][" << b << "] = " << row[b]
+                        << ", Dijkstra " << want;
+        }
+      }
+      if (want == kInfDistance) ++infinite;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  return infinite;
+}
+
+TEST(ChOracle, CoreTableIsExact) {
+  // 1,600 vertices: the table covers the top 512 ranks only.
+  EXPECT_EQ(ExpectCoreTableExact(LargerGrid()), 0u);
+  // 147 vertices in two components: the whole hierarchy is the core, and
+  // cross-component entries must be infinite.
+  EXPECT_GT(ExpectCoreTableExact(GridWithDetachedPath(13)), 0u);
+}
+
+TEST(ChOracle, QueriersShareOneCoreTable) {
+  // Four queriers built concurrently on one fresh oracle race to build its
+  // core table: exactly one table results, and every answer matches a
+  // single-thread reference on a separately built oracle.
+  const RoadNetwork g = LargerGrid();
+  const DistanceOracle oracle = BuildOracle(g);
+  const DistanceOracle reference_oracle = BuildOracle(g);
+  const auto n = static_cast<VertexId>(g.NumVertices());
+  constexpr int kThreads = 4;
+  constexpr int kPairs = 1000;
+  std::vector<std::pair<VertexId, VertexId>> pairs;
+  Rng rng(0x7ab1eu);
+  for (int i = 0; i < kPairs; ++i) {
+    pairs.emplace_back(static_cast<VertexId>(rng.Next() % n),
+                       static_cast<VertexId>(rng.Next() % n));
+  }
+  std::vector<double> reference;
+  {
+    OracleQuerier querier(reference_oracle);
+    for (const auto& [s, t] : pairs) {
+      reference.push_back(querier.Distance(s, t));
+    }
+  }
+
+  std::vector<std::vector<double>> answers(kThreads);
+  std::vector<const OracleCore*> tables(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      OracleQuerier querier(oracle);
+      tables[t] = &oracle.core();
+      for (const auto& [s, u] : pairs) {
+        answers[t].push_back(querier.Distance(s, u));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(tables[t], &oracle.core()) << "thread " << t;
+    EXPECT_EQ(answers[t], reference) << "thread " << t;
+  }
+}
+
 // ---- Search-layer integration: oracle on/off bit-identity. ----
 
-std::unique_ptr<TrajectoryDatabase> MakeDatabase(bool attach_oracle) {
+RoadNetwork SearchGrid() {
   GridNetworkOptions gopts;
   gopts.rows = 20;
   gopts.cols = 20;
   gopts.seed = 41;
   auto g = MakeGridNetwork(gopts);
+  EXPECT_TRUE(g.ok());
+  return std::move(*g);
+}
+
+std::unique_ptr<TrajectoryDatabase> MakeDatabase(
+    bool attach_oracle, RoadNetwork g = SearchGrid()) {
   TripGeneratorOptions topts;
   topts.num_trajectories = 350;
   topts.vocabulary_size = 120;
   topts.seed = 42;
-  auto data = GenerateTrips(*g, topts);
+  auto data = GenerateTrips(g, topts);
   auto db = std::make_unique<TrajectoryDatabase>(
-      std::move(*g), std::move(data->store), std::move(data->vocabulary));
+      std::move(g), std::move(data->store), std::move(data->vocabulary));
   if (attach_oracle) {
     auto oracle = DistanceOracle::Build(db->network());
     EXPECT_TRUE(oracle.ok());
@@ -452,9 +631,16 @@ std::unique_ptr<TrajectoryDatabase> MakeDatabase(bool attach_oracle) {
   return db;
 }
 
-TEST(OracleSearch, BitIdenticalToExpansionBaselineAndBruteForce) {
-  auto db = MakeDatabase(/*attach_oracle=*/true);
+/// Moves the first location of every other query onto a core vertex.
+void PutLocationsInTheCore(const DistanceOracle& oracle,
+                           std::vector<UotsQuery>* queries) {
+  const std::vector<VertexId> core = CoreVertices(oracle);
+  for (size_t i = 1; i < queries->size(); i += 2) {
+    (*queries)[i].locations[0] = core[(i * 37) % core.size()];
+  }
+}
 
+void ExpectSearchBitIdentical(const TrajectoryDatabase& db) {
   UotsSearchOptions with;
   with.use_oracle = true;
   UotsSearchOptions without;
@@ -466,12 +652,13 @@ TEST(OracleSearch, BitIdenticalToExpansionBaselineAndBruteForce) {
   wopts.lambda = 0.6;
   wopts.k = 10;
   wopts.seed = 77;
-  auto queries = MakeWorkload(*db, wopts);
+  auto queries = MakeWorkload(db, wopts);
   ASSERT_TRUE(queries.ok());
+  PutLocationsInTheCore(*db.oracle(), &*queries);
 
-  auto on = CreateAlgorithm(*db, AlgorithmKind::kUots, with);
-  auto off = CreateAlgorithm(*db, AlgorithmKind::kUots, without);
-  auto bf = CreateAlgorithm(*db, AlgorithmKind::kBruteForce);
+  auto on = CreateAlgorithm(db, AlgorithmKind::kUots, with);
+  auto off = CreateAlgorithm(db, AlgorithmKind::kUots, without);
+  auto bf = CreateAlgorithm(db, AlgorithmKind::kBruteForce);
 
   for (const UotsQuery& q : *queries) {
     auto r_on = on->Search(q);
@@ -497,15 +684,18 @@ TEST(OracleSearch, BitIdenticalToExpansionBaselineAndBruteForce) {
   }
 }
 
-TEST(OracleSearch, ThresholdModeBitIdentical) {
-  auto db = MakeDatabase(/*attach_oracle=*/true);
+TEST(OracleSearch, BitIdenticalToExpansionBaselineAndBruteForce) {
+  ExpectSearchBitIdentical(*MakeDatabase(/*attach_oracle=*/true));
+  ExpectSearchBitIdentical(*MakeDatabase(true, LargerGrid()));
+}
 
+void ExpectThresholdBitIdentical(const TrajectoryDatabase& db) {
   UotsSearchOptions with;
   with.use_oracle = true;
   UotsSearchOptions without;
   without.use_oracle = false;
-  UotsSearcher on(*db, with);
-  UotsSearcher off(*db, without);
+  UotsSearcher on(db, with);
+  UotsSearcher off(db, without);
 
   WorkloadOptions wopts;
   wopts.num_queries = 6;
@@ -513,8 +703,9 @@ TEST(OracleSearch, ThresholdModeBitIdentical) {
   wopts.lambda = 0.5;
   wopts.k = 5;
   wopts.seed = 99;
-  auto queries = MakeWorkload(*db, wopts);
+  auto queries = MakeWorkload(db, wopts);
   ASSERT_TRUE(queries.ok());
+  PutLocationsInTheCore(*db.oracle(), &*queries);
 
   for (const UotsQuery& q : *queries) {
     for (const double theta : {0.2, 0.5, 0.8}) {
@@ -528,6 +719,11 @@ TEST(OracleSearch, ThresholdModeBitIdentical) {
       }
     }
   }
+}
+
+TEST(OracleSearch, ThresholdModeBitIdentical) {
+  ExpectThresholdBitIdentical(*MakeDatabase(/*attach_oracle=*/true));
+  ExpectThresholdBitIdentical(*MakeDatabase(true, LargerGrid()));
 }
 
 TEST(OracleSearch, NoOracleAttachedFallsBackCleanly) {

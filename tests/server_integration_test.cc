@@ -603,6 +603,25 @@ TEST(ServerIntegrationTest, GracefulShutdownDrainsAndStops) {
   EXPECT_EQ(fx.server().counters().responses_ok, 1);
 }
 
+TEST(ServerIntegrationTest, StartRejectsOutOfRangeTimeouts) {
+  // Every ms option becomes int64 nanoseconds; one past kMaxDeadlineMs, or
+  // below zero, must fail Start() instead of reaching that conversion.
+  auto db = MakeTestDb();
+  ServerOptions huge_deadline;
+  huge_deadline.service.default_deadline_ms = 1e13;
+  ServerOptions negative_idle;
+  negative_idle.idle_timeout_ms = -1;
+  for (const ServerOptions& opts : {huge_deadline, negative_idle}) {
+    UotsServer server(*db, opts);
+    const Status st = server.Start();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  }
+  ServerOptions at_bound;
+  at_bound.service.default_deadline_ms = kMaxDeadlineMs;
+  UotsServer server(*db, at_bound);
+  EXPECT_TRUE(server.Start().ok());
+}
+
 TEST(ServerIntegrationTest, ShutdownFoldCountsAndTimesItsCompaction) {
   // Stopping with an unflushed delta folds it into the compaction snapshot
   // on the way out. That fold is a compaction like a background one: it is

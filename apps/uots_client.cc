@@ -20,10 +20,10 @@
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
-#include <cmath>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -34,6 +34,7 @@
 #include "common/datasets.h"
 #include "common/report.h"
 #include "core/workload.h"
+#include "flags.h"
 #include "server/client.h"
 #include "server/http.h"
 #include "server/request_kind.h"
@@ -47,6 +48,8 @@
 namespace {
 
 using uots::bench::City;
+using uots::cli::ParseFlag;
+using uots::cli::ParseNumber;
 
 struct Flags {
   std::string host = "127.0.0.1";
@@ -95,15 +98,23 @@ struct Flags {
   std::string scrape_admin;
 };
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *out = arg + n + 1;
-  return true;
-}
-
 bool ParseBoolFlag(const char* arg, const char* name) {
   return std::strcmp(arg, name) == 0;
+}
+
+void Usage(const char* argv0) {
+  std::fprintf(
+      stderr,
+      "usage: %s [--host=ADDR] [--port=N] [--city=BRN|NRN]\n"
+      "          [--dataset=PATH] [--trajectories=N] [--connections=N]\n"
+      "          [--requests=N] [--rate=QPS] [--duration-s=S]\n"
+      "          [--num-queries=N] [--locations=N] [--keywords=N]\n"
+      "          [--lambda=0..1] [--k=N] [--seed=N] [--algorithm=NAME]\n"
+      "          [--deadline-ms=MS] [--zipf=0..1] [--cache=default|bypass]\n"
+      "          [--min-hit-rate=R] [--json-out=PATH] [--trip]\n"
+      "          [--trip-gap=M] [--scrape-admin=HOST:PORT] [--ingest=N]\n"
+      "          [--ingest-batch=N] [--verify]\n",
+      argv0);
 }
 
 /// Latencies + error tallies for one worker thread. Hit/miss latencies are
@@ -207,10 +218,7 @@ bool ParseHostPort(const std::string& s, std::string* host, uint16_t* port) {
   const std::string port_str =
       colon == std::string::npos ? s : s.substr(colon + 1);
   *host = colon == std::string::npos ? "127.0.0.1" : s.substr(0, colon);
-  const int p = std::atoi(port_str.c_str());
-  if (p <= 0 || p > 65535) return false;
-  *port = static_cast<uint16_t>(p);
-  return true;
+  return ParseNumber(port_str, uint16_t{1}, uint16_t{65535}, port);
 }
 
 /// --verify for query kind `Kind` (server/request_kind.h). Three passes
@@ -633,65 +641,73 @@ int RunLoad(const Flags& flags,
 
 int main(int argc, char** argv) {
   Flags flags;
+  constexpr double kMaxMs = uots::kMaxDeadlineMs;
+  constexpr double kMaxDouble = std::numeric_limits<double>::max();
   for (int i = 1; i < argc; ++i) {
     std::string v;
+    bool ok = true;  // false: the flag's value is malformed or out of range
     if (ParseFlag(argv[i], "--host", &v)) {
       flags.host = v;
     } else if (ParseFlag(argv[i], "--port", &v)) {
-      flags.port = std::atoi(v.c_str());
+      ok = ParseNumber(v, 0, 65535, &flags.port);
     } else if (ParseFlag(argv[i], "--city", &v)) {
       flags.city = v;
     } else if (ParseFlag(argv[i], "--dataset", &v)) {
       flags.dataset = v;
     } else if (ParseFlag(argv[i], "--trajectories", &v)) {
-      flags.trajectories = std::atoi(v.c_str());
+      ok = ParseNumber(v, 0, INT_MAX, &flags.trajectories);
     } else if (ParseFlag(argv[i], "--connections", &v)) {
-      flags.connections = std::atoi(v.c_str());
+      ok = ParseNumber(v, 0, INT_MAX, &flags.connections);
     } else if (ParseFlag(argv[i], "--requests", &v)) {
-      flags.requests = std::atoi(v.c_str());
+      ok = ParseNumber(v, 0, INT_MAX, &flags.requests);
     } else if (ParseFlag(argv[i], "--rate", &v)) {
-      flags.rate = std::atof(v.c_str());
+      ok = ParseNumber(v, 0.0, kMaxDouble, &flags.rate);
     } else if (ParseFlag(argv[i], "--duration-s", &v)) {
-      flags.duration_s = std::atof(v.c_str());
+      ok = ParseNumber(v, 0.0, kMaxMs / 1e3, &flags.duration_s);
     } else if (ParseFlag(argv[i], "--num-queries", &v)) {
-      flags.num_queries = std::atoi(v.c_str());
+      // At least one: the load loop cycles through the workload.
+      ok = ParseNumber(v, 1, INT_MAX, &flags.num_queries);
     } else if (ParseFlag(argv[i], "--locations", &v)) {
-      flags.locations = std::atoi(v.c_str());
+      ok = ParseNumber(v, 0, INT_MAX, &flags.locations);
     } else if (ParseFlag(argv[i], "--keywords", &v)) {
-      flags.keywords = std::atoi(v.c_str());
+      ok = ParseNumber(v, 0, INT_MAX, &flags.keywords);
     } else if (ParseFlag(argv[i], "--lambda", &v)) {
-      flags.lambda = std::atof(v.c_str());
+      ok = ParseNumber(v, 0.0, 1.0, &flags.lambda);
     } else if (ParseFlag(argv[i], "--k", &v)) {
-      flags.k = std::atoi(v.c_str());
+      ok = ParseNumber(v, 0, INT_MAX, &flags.k);
     } else if (ParseFlag(argv[i], "--seed", &v)) {
-      flags.seed = static_cast<uint64_t>(std::atoll(v.c_str()));
+      ok = ParseNumber(v, uint64_t{0}, UINT64_MAX, &flags.seed);
     } else if (ParseFlag(argv[i], "--algorithm", &v)) {
       flags.algorithm = v;
     } else if (ParseFlag(argv[i], "--deadline-ms", &v)) {
-      flags.deadline_ms = std::atof(v.c_str());
+      ok = ParseNumber(v, 0.0, kMaxMs, &flags.deadline_ms);
     } else if (ParseFlag(argv[i], "--zipf", &v)) {
-      flags.zipf = std::atof(v.c_str());
+      ok = ParseNumber(v, 0.0, 1.0, &flags.zipf);
     } else if (ParseFlag(argv[i], "--cache", &v)) {
       flags.cache = v;
     } else if (ParseFlag(argv[i], "--min-hit-rate", &v)) {
-      flags.min_hit_rate = std::atof(v.c_str());
+      ok = ParseNumber(v, -1.0, 1.0, &flags.min_hit_rate);
     } else if (ParseFlag(argv[i], "--json-out", &v)) {
       flags.json_out = v;
       flags.json_out_set = true;
     } else if (ParseFlag(argv[i], "--trip-gap", &v)) {
-      flags.trip_gap = std::atof(v.c_str());
+      ok = ParseNumber(v, 0.0, kMaxDouble, &flags.trip_gap);
     } else if (ParseBoolFlag(argv[i], "--trip")) {
       flags.trip = true;
     } else if (ParseFlag(argv[i], "--scrape-admin", &v)) {
       flags.scrape_admin = v;
     } else if (ParseFlag(argv[i], "--ingest", &v)) {
-      flags.ingest = std::atoi(v.c_str());
+      ok = ParseNumber(v, 0, INT_MAX, &flags.ingest);
     } else if (ParseFlag(argv[i], "--ingest-batch", &v)) {
-      flags.ingest_batch = std::atoi(v.c_str());
+      ok = ParseNumber(v, 0, INT_MAX, &flags.ingest_batch);
     } else if (ParseBoolFlag(argv[i], "--verify")) {
       flags.verify = true;
     } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      ok = false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bad flag %s\n", argv[i]);
+      Usage(argv[0]);
       return 2;
     }
   }

@@ -20,24 +20,24 @@
 #include <sys/signalfd.h>
 #include <unistd.h>
 
-#include <charconv>
 #include <chrono>
 #include <climits>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <type_traits>
 
 #include "cache/distance_field_cache.h"
 #include "common/datasets.h"
+#include "flags.h"
 #include "server/server.h"
 #include "storage/resolver.h"
 
 namespace {
 
 using uots::bench::City;
+using uots::cli::ParseFlag;
+using uots::cli::ParseNumber;
 
 struct Flags {
   std::string bind = "127.0.0.1";
@@ -61,28 +61,6 @@ struct Flags {
   std::string compact_snapshot;     // empty = compaction off
   double compact_interval_ms = 0.0; // 0 = manual (POST /compact) only
 };
-
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *out = arg + n + 1;
-  return true;
-}
-
-/// Parses all of `s` as a finite number in [lo, hi]; false otherwise.
-template <typename T>
-bool ParseNumber(const std::string& s, T lo, T hi, T* out) {
-  T v{};
-  const char* end = s.data() + s.size();
-  const auto [p, ec] = std::from_chars(s.data(), end, v);
-  if (ec != std::errc() || p != end) return false;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(v)) return false;
-  }
-  if (v < lo || v > hi) return false;
-  *out = v;
-  return true;
-}
 
 void Usage(const char* argv0) {
   std::fprintf(

@@ -15,13 +15,14 @@
 // only on a fully intact file).
 
 #include <cinttypes>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <string>
 
 #include "common/datasets.h"
+#include "flags.h"
 #include "net/generators.h"
 #include "net/io.h"
 #include "oracle/ch_oracle.h"
@@ -34,6 +35,8 @@
 
 namespace {
 
+using uots::cli::ParseFlag;
+using uots::cli::ParseNumber;
 using uots::storage::SnapshotInfo;
 
 struct BuildFlags {
@@ -48,13 +51,6 @@ struct BuildFlags {
   uint64_t seed = 1;
   bool oracle = false;
 };
-
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *out = arg + n + 1;
-  return true;
-}
 
 void Usage() {
   std::fprintf(
@@ -238,6 +234,7 @@ int main(int argc, char** argv) {
     BuildFlags flags;
     for (int i = 2; i < argc; ++i) {
       std::string v;
+      bool ok = true;  // false: the flag's value is malformed or out of range
       if (ParseFlag(argv[i], "--out", &v)) {
         flags.out = v;
       } else if (ParseFlag(argv[i], "--network", &v)) {
@@ -247,19 +244,22 @@ int main(int argc, char** argv) {
       } else if (ParseFlag(argv[i], "--city", &v)) {
         flags.city = v;
       } else if (ParseFlag(argv[i], "--trajectories", &v)) {
-        flags.trajectories = std::atoi(v.c_str());
+        ok = ParseNumber(v, 0, INT_MAX, &flags.trajectories);
       } else if (ParseFlag(argv[i], "--gen-rows", &v)) {
-        flags.gen_rows = std::atoi(v.c_str());
+        ok = ParseNumber(v, 0, INT_MAX, &flags.gen_rows);
       } else if (ParseFlag(argv[i], "--gen-cols", &v)) {
-        flags.gen_cols = std::atoi(v.c_str());
+        ok = ParseNumber(v, 0, INT_MAX, &flags.gen_cols);
       } else if (ParseFlag(argv[i], "--gen-trips", &v)) {
-        flags.gen_trips = std::atoi(v.c_str());
+        ok = ParseNumber(v, 0, INT_MAX, &flags.gen_trips);
       } else if (ParseFlag(argv[i], "--seed", &v)) {
-        flags.seed = static_cast<uint64_t>(std::atoll(v.c_str()));
+        ok = ParseNumber(v, uint64_t{0}, UINT64_MAX, &flags.seed);
       } else if (std::strcmp(argv[i], "--oracle") == 0) {
         flags.oracle = true;
       } else {
-        std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+        ok = false;
+      }
+      if (!ok) {
+        std::fprintf(stderr, "bad flag %s\n", argv[i]);
         Usage();
         return 2;
       }

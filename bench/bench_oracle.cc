@@ -12,9 +12,10 @@
 //      the two-sided CH sweep versus a plain point-to-point Dijkstra on
 //      the same random pairs (Dijkstra gets the first 256 pairs; it is
 //      the slow side), whose answers must match bit for bit;
-//   3. end-to-end — the same UOTS workload with the oracle on vs off.
-//      Answers must be bit-identical (ids, scores, spatial, textual); the
-//      run FAILS otherwise. The speedup column is the paper-facing number.
+//   3. end-to-end — the same UOTS workload with the oracle on vs off:
+//      time and expansion settles per query on each side. Answers must be
+//      bit-identical (ids, scores, spatial, textual); the run FAILS
+//      otherwise. The speedup column is the paper-facing number.
 //
 // Results land in BENCH_oracle.json.
 
@@ -114,7 +115,8 @@ int main(int argc, char** argv) {
   uots::bench::Table table({"vertices", "build_s", "core_ms", "shortcuts",
                             "witness_settled", "oracle_mb", "scans/pair",
                             "oracle_us", "dijkstra_us", "kernel_x", "uots_ms",
-                            "oracle_ms", "e2e_x"},
+                            "oracle_ms", "e2e_x", "uots_settled/q",
+                            "oracle_settled/q"},
                            /*width=*/16);
   table.PrintHeader();
   uots::bench::JsonReport report("oracle");
@@ -254,7 +256,10 @@ int main(int argc, char** argv) {
 
     const double base_ms = base_s / queries->size() * 1e3;
     const double oracle_ms = oracle_s / queries->size() * 1e3;
-    char c[13][32];
+    const auto per_query = [&](int64_t total) {
+      return static_cast<double>(total) / static_cast<double>(queries->size());
+    };
+    char c[15][32];
     std::snprintf(c[0], sizeof(c[0]), "%u", num_vertices);
     std::snprintf(c[1], sizeof(c[1]), "%.3f", build_stats.seconds);
     std::snprintf(c[2], sizeof(c[2]), "%.2f", core_ms);
@@ -268,8 +273,12 @@ int main(int argc, char** argv) {
     std::snprintf(c[10], sizeof(c[10]), "%.3f", base_ms);
     std::snprintf(c[11], sizeof(c[11]), "%.3f", oracle_ms);
     std::snprintf(c[12], sizeof(c[12]), "%.1fx", base_ms / oracle_ms);
+    std::snprintf(c[13], sizeof(c[13]), "%.0f",
+                  per_query(base_stats.settled_vertices));
+    std::snprintf(c[14], sizeof(c[14]), "%.0f",
+                  per_query(oracle_stats.settled_vertices));
     table.PrintRow({c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7], c[8],
-                    c[9], c[10], c[11], c[12]});
+                    c[9], c[10], c[11], c[12], c[13], c[14]});
 
     auto& row = report.AddRow();
     row.Set("vertices", static_cast<int64_t>(num_vertices))

@@ -113,7 +113,23 @@ for preset in "${presets[@]}"; do
       echo "uots_server ${bad}: exit ${rc}"
       [[ "${rc}" == 2 ]]
     done
-    rm -f "${snap}"
+    # The client and the snapshot tool parse numbers the same way: a port
+    # past 65535 or a count that is not a number exits 2 before any work
+    # (the client used to connect to port 4464, and the tool to build with
+    # --trajectories=abc read as 0).
+    rc=0
+    timeout 60 "${builddir[${preset}]}/apps/uots_client" --port=70000 \
+      --num-queries=1 --trajectories=1500 --json-out= >/dev/null 2>&1 || rc=$?
+    echo "uots_client --port=70000: exit ${rc}"
+    [[ "${rc}" == 2 ]]
+    rc=0
+    "${builddir[${preset}]}/apps/uots_snapshot" build --gen-rows=5 \
+      --gen-cols=5 --gen-trips=40 --trajectories=abc \
+      --out="${builddir[${preset}]}/check-bad-flag.snap" >/dev/null 2>&1 \
+      || rc=$?
+    echo "uots_snapshot build --trajectories=abc: exit ${rc}"
+    [[ "${rc}" == 2 ]]
+    rm -f "${snap}" "${builddir[${preset}]}/check-bad-flag.snap"
     ctest --preset "${preset}" -R uots_snapshot_test --output-on-failure
     # Oracle drill: contract a network, bake the CH oracle into a v2
     # snapshot, check the checksum sweep and structural validation accept
@@ -196,6 +212,19 @@ for preset in "${presets[@]}"; do
       grep -E "^ *oracle\.up_offsets .* c001e645$" "${pin}/inspect.txt" \
         >/dev/null
       grep -E "^ *oracle\.up_edges .* 0cede5e3$" "${pin}/inspect.txt" >/dev/null
+      # Oracle on/off over the wire at that scale: serve the pinned oracle
+      # snapshot and verify its answers bit for bit against an oracle-less
+      # engine over a plain snapshot of the same dataset (same cache dir).
+      UOTS_BENCH_CACHE_DIR="${pin}" "${builddir[release]}/apps/uots_snapshot" \
+        build --city=BRN --trajectories=15000 --out="${pin}/plain.snap"
+      "${builddir[release]}/apps/uots_server" --dataset="${pin}/brn.snap" \
+        --port=7793 &
+      pin_pid=$!
+      sleep 1
+      "${builddir[release]}/apps/uots_client" --port=7793 \
+        --dataset="${pin}/plain.snap" --verify
+      kill -TERM "${pin_pid}"
+      wait "${pin_pid}"
       rm -rf "${pin}"
     fi
     # Admin-plane drill: serve a generated city with the admin listener on,

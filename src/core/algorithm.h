@@ -72,8 +72,10 @@ class DistanceFieldCache;  // cache/distance_field_cache.h
 struct UotsSearchOptions {
   /// Query-source scheduling policy.
   SchedulingPolicy scheduling = SchedulingPolicy::kHeuristic;
-  /// Minimum expansion steps between scheduling / termination checks (the
-  /// effective batch adapts upward with the partly-scanned set size).
+  /// Expansion settles between scheduling / termination checks. With the
+  /// oracle in use every round is exactly this long; without it this is
+  /// the minimum, and a round grows to a quarter of the partly-scanned set
+  /// so per-round bookkeeping stays amortized.
   int batch_size = 64;
   /// Optional cross-query expansion-prefix cache shared between engines
   /// (thread-safe; see cache/distance_field_cache.h). Null = off. Results

@@ -154,14 +154,15 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
   }
   size_t exhausted_count = 0;
 
-  // With a distance oracle the expansion loop runs identically — exact
-  // per-source scans, partial states, incremental bounds — until the
-  // radius-driven spatial bound alone is beaten. What remains then is the
-  // baseline's expensive tail: candidates (typically high-SimT ones) whose
-  // upper bound cannot drop below the threshold until EVERY expansion has
-  // reached them. The oracle finisher resolves exactly those candidates
-  // directly (see the termination check below) and stops, skipping the
-  // tail expansion entirely.
+  // With a distance oracle the expansion loop runs the same way — exact
+  // per-source scans, partial states, incremental bounds, in rounds of
+  // exactly batch_size settles — until the radius-driven spatial bound
+  // alone is beaten. What remains then is the baseline's expensive tail:
+  // candidates (typically high-SimT ones) whose upper bound cannot drop
+  // below the threshold until EVERY expansion has reached them. The oracle
+  // finisher resolves exactly those candidates directly (see the
+  // termination check below) and stops, skipping the tail expansion
+  // entirely.
   const bool use_oracle = oracle_ != nullptr;
   if (use_oracle) oracle_->BeginQuery(query.locations);
 
@@ -396,17 +397,18 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
       break;
     }
 
-    // Expand the current source for one batch. The batch grows with the
-    // partly-scanned set so per-round bookkeeping stays amortized.
+    // Expand the current source for one batch. Without the oracle the
+    // batch grows with the partly-scanned set so per-round bookkeeping
+    // stays amortized. With it, every round is one batch: the finisher
+    // below stops the search at the first round end where firing pays, and
+    // rounds grown with the set overshoot that point by thousands of
+    // settles (EXPERIMENTS.md K4).
     {
       ScopedPhase round(stats, QueryPhase::kSpatialExpansion);
-      int batch =
-          std::max<int>(opts_.batch_size, static_cast<int>(partial_count / 4));
-      // In oracle mode the batch stays capped: the finisher below wants the
-      // termination check close to the earliest profitable stopping point,
-      // and an uncapped batch (it grows with the partly-scanned set)
-      // overshoots that crossing by thousands of settles.
-      if (use_oracle) batch = std::min(batch, 1024);
+      const int batch =
+          use_oracle ? opts_.batch_size
+                     : std::max<int>(opts_.batch_size,
+                                     static_cast<int>(partial_count / 4));
       ExpansionCursor& ex = *expansions_[cur];
       if (!ex.exhausted()) {
         for (int step = 0; step < batch; ++step) {
@@ -491,14 +493,13 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
           // radius bound) and fire once their cost, in expansion-settle
           // units, no longer exceeds the expansion work already done. The
           // count is a heuristic (cached bounds over-approximate), the
-          // resolutions themselves stay exact.
+          // resolutions themselves stay exact. It stops once it passes the
+          // budget, so a round that does not fire stays cheap.
           constexpr int64_t kResolveCostSettles = 160;
           constexpr int64_t kFreeSettles = 4096;
-          int64_t need = 0;
-          for (const int32_t idx : partial_) {
-            const TrajState& s = states_[idx];
-            if (s.known != static_cast<int>(m) && s.cached_ub >= thr) ++need;
-          }
+          const int64_t max_need =
+              std::max<int64_t>(stats->settled_vertices, kFreeSettles) /
+              kResolveCostSettles;
           const ScoredDoc* text_beg = text_docs_.data() + text_ptr;
           const ScoredDoc* text_end = text_docs_.data() + text_docs_.size();
           const ScoredDoc* text_cut = std::partition_point(
@@ -508,9 +509,13 @@ Status UotsSearcher::RunSearch(const UotsQuery& query, Sink* sink,
                            lambda, total_rs / static_cast<double>(m),
                            d.score) > thr;
               });
-          need += text_cut - text_beg;
-          fire = need * kResolveCostSettles <=
-                 std::max<int64_t>(stats->settled_vertices, kFreeSettles);
+          int64_t need = text_cut - text_beg;
+          for (const int32_t idx : partial_) {
+            if (need > max_need) break;
+            const TrajState& s = states_[idx];
+            if (s.known != static_cast<int>(m) && s.cached_ub >= thr) ++need;
+          }
+          fire = need <= max_need;
         }
         if (fire) {
           for (const int32_t idx : partial_) {

@@ -74,6 +74,7 @@ void OracleQuerier::BeginQuery(std::span<const VertexId> sources) {
   bucket_pool_.clear();
   row_of_.Reset();
   row_pool_.clear();
+  const uint32_t first = core_->first;
   const uint32_t c = core_->size;
   source_core_.assign(num_sources_ * c, kInfDistance);
   for (size_t i = 0; i < sources.size(); ++i) {
@@ -83,11 +84,36 @@ void OracleQuerier::BeginQuery(std::span<const VertexId> sources) {
       bucket_pool_.push_back(BucketEntry{static_cast<uint32_t>(i), d, head});
       return true;
     });
-    // S_i[b] = min over the source's entries a of f_i[a] + D[a][b].
+    // S_i[b] = min over the source's entries a of f_i[a] + D[a][b]. An
+    // entry a that a kept entry a' reaches through the table, f[a'] +
+    // D[a'][a] <= f[a], adds nothing: every term is an exact path sum, so
+    // f[a'] + D[a'][b] <= f[a'] + D[a'][a] + D[a][b] <= f[a] + D[a][b] for
+    // every b. Entries fold in ascending (label, rank) order, so a
+    // dominator comes first. Checking only kept entries keeps one entry of
+    // every exact tie and loses nothing: whatever dominates a dropped entry
+    // dominates what that entry dominates. D[a'][a] is read as D[a][a']
+    // from a's row (the network is undirected).
     double* out = source_core_.data() + i * c;
-    for (const uint32_t a : up_.entries) {
+    fold_order_ = up_.entries;
+    std::sort(fold_order_.begin(), fold_order_.end(),
+              [&](uint32_t x, uint32_t y) {
+                const double dx = up_.dist[x];
+                const double dy = up_.dist[y];
+                return dx != dy ? dx < dy : x < y;
+              });
+    kept_.clear();
+    for (const uint32_t a : fold_order_) {
       const double fa = up_.dist[a];
-      const double* row = core_->Row(a - core_->first);
+      const double* row = core_->Row(a - first);
+      const bool dominated =
+          std::any_of(kept_.begin(), kept_.end(), [&](uint32_t k) {
+            return up_.dist[k] + row[k - first] <= fa;
+          });
+      if (dominated) {
+        ++dominated_entries_;
+        continue;
+      }
+      kept_.push_back(a);
       for (uint32_t b = 0; b < c; ++b) out[b] = std::min(out[b], fa + row[b]);
     }
   }

@@ -27,7 +27,9 @@
 // One-to-many (the search layer's workhorse): BeginQuery(sources) sweeps
 // up from each query location, scatters the scanned labels into per-node
 // buckets, and folds its entries into a core row S_i[b] = min_a f_i[a] +
-// D[a][b]; DistancesTo(v) then sweeps up from v, probes the buckets at
+// D[a][b], skipping each entry another entry already reaches through the
+// table no later than its own label (it cannot lower any S_i[b]);
+// DistancesTo(v) then sweeps up from v, probes the buckets at
 // every scanned node, and takes min_b S_i[b] + l[b] over v's entries,
 // yielding all m exact distances sd(o_i, v) at once. Rows are memoized per
 // vertex for the duration of the query (hub vertices shared by many
@@ -103,6 +105,10 @@ class OracleQuerier {
   /// Nodes scanned by upward sweeps since construction (kernel-cost
   /// telemetry: scans per lookup is the hierarchy-quality figure).
   int64_t SettledVertices() const { return settled_; }
+
+  /// Source entries BeginQuery left out of its core rows since
+  /// construction, because another entry dominates them through the table.
+  int64_t DominatedEntries() const { return dominated_entries_; }
 
  private:
   /// Labels of one upward sweep, indexed by rank node; kInfDistance marks
@@ -220,12 +226,15 @@ class OracleQuerier {
   std::vector<BucketEntry> bucket_pool_;
   size_t num_sources_ = 0;
   std::vector<double> source_core_;  ///< m core rows S_i, C doubles each
+  std::vector<uint32_t> fold_order_;  ///< a source's entries by (label, rank)
+  std::vector<uint32_t> kept_;        ///< the entries folded into S_i
   VersionedArray<int64_t> row_of_;  ///< vertex -> base index into row_pool_
   std::vector<double> row_pool_;    ///< memoized rows, m doubles each
   std::vector<double> min_row_;     ///< MinDistancesTo result, m doubles
 
   int64_t lookups_ = 0;
   int64_t settled_ = 0;
+  int64_t dominated_entries_ = 0;
 };
 
 }  // namespace uots

@@ -180,6 +180,82 @@ TEST(ChOracle, DenseEntrySetsStayExact) {
   }
 }
 
+/// BeginQuery over `sources`, then DistancesTo rows and set minima against
+/// Dijkstra and pairwise Distance, bitwise. Returns the entries BeginQuery
+/// left out of its core rows as dominated.
+int64_t ExpectFoldedRowsExact(const RoadNetwork& g,
+                              const DistanceOracle& oracle,
+                              const std::vector<VertexId>& sources,
+                              const std::vector<VertexId>& targets) {
+  OracleQuerier querier(oracle);
+  OracleQuerier pairwise(oracle);
+  std::vector<ShortestPathTree> trees;
+  for (const VertexId s : sources) {
+    trees.push_back(ComputeShortestPathTree(g, s));
+  }
+  querier.BeginQuery(sources);
+  for (const VertexId v : targets) {
+    const auto row = querier.DistancesTo(v);
+    for (size_t i = 0; i < sources.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(row[i]),
+                std::bit_cast<uint64_t>(trees[i].dist[v]))
+          << "source " << sources[i] << " to " << v;
+      EXPECT_EQ(row[i], pairwise.Distance(sources[i], v));
+    }
+  }
+  for (size_t j = 0; j + 3 <= targets.size(); j += 3) {
+    const std::vector<VertexId> set(targets.begin() + j,
+                                    targets.begin() + j + 3);
+    const auto row = querier.MinDistancesTo(set);
+    for (size_t i = 0; i < sources.size(); ++i) {
+      double want = kInfDistance;
+      for (const VertexId v : set) want = std::min(want, trees[i].dist[v]);
+      EXPECT_EQ(std::bit_cast<uint64_t>(row[i]), std::bit_cast<uint64_t>(want))
+          << "source " << sources[i] << " set " << j;
+    }
+  }
+  return querier.DominatedEntries();
+}
+
+TEST(ChOracle, DominatedEntriesFoldToTheSameRows) {
+  // BeginQuery leaves out of a source's core row every entry another entry
+  // reaches through the table no later than its own label. The rows must
+  // stay the exact distances the full fold gave: Dijkstra's, bit for bit.
+  // Sources mix vertices below the core (several entries, some dominated)
+  // with core vertices (one entry each).
+  {
+    const RoadNetwork g = LargerGrid();
+    const DistanceOracle oracle = BuildOracle(g);
+    const std::vector<VertexId> core = CoreVertices(oracle);
+    Rng rng(0xd0e5u);
+    const auto n = static_cast<uint64_t>(g.NumVertices());
+    std::vector<VertexId> sources;
+    std::vector<VertexId> targets;
+    for (int i = 0; i < 8; ++i) {
+      sources.push_back(i % 2 == 0 ? static_cast<VertexId>(rng.Next() % n)
+                                   : core[rng.Next() % core.size()]);
+    }
+    for (int j = 0; j < 30; ++j) {
+      targets.push_back(j % 3 == 0 ? core[rng.Next() % core.size()]
+                                   : static_cast<VertexId>(rng.Next() % n));
+    }
+    EXPECT_GT(ExpectFoldedRowsExact(g, oracle, sources, targets), 0);
+  }
+  {
+    // Each spoke's sweep reaches ~340 core entries.
+    const RoadNetwork g = HubNetwork();
+    const DistanceOracle oracle = BuildOracle(g);
+    const std::vector<VertexId> core = CoreVertices(oracle);
+    constexpr VertexId kHub = 600;
+    const std::vector<VertexId> sources = {
+        kHub + 1, kHub + 2, kHub + 3, kHub + 4,
+        kHub,     core[0],  core[core.size() / 2], 17};
+    const std::vector<VertexId> targets = {
+        0, 17, 599, 250, kHub, kHub + 1, kHub + 4, core[3], core[100]};
+    EXPECT_GT(ExpectFoldedRowsExact(g, oracle, sources, targets), 0);
+  }
+}
+
 TEST(ChOracle, DisconnectedPairsAreInfinite) {
   // Two components: a path 0-1-2 and a path 3-4. Within-component
   // distances stay exact; cross-component pairs must come back infinite.
@@ -615,9 +691,10 @@ RoadNetwork SearchGrid() {
 }
 
 std::unique_ptr<TrajectoryDatabase> MakeDatabase(
-    bool attach_oracle, RoadNetwork g = SearchGrid()) {
+    bool attach_oracle, RoadNetwork g = SearchGrid(),
+    int num_trajectories = 350) {
   TripGeneratorOptions topts;
-  topts.num_trajectories = 350;
+  topts.num_trajectories = num_trajectories;
   topts.vocabulary_size = 120;
   topts.seed = 42;
   auto data = GenerateTrips(g, topts);
@@ -724,6 +801,119 @@ void ExpectThresholdBitIdentical(const TrajectoryDatabase& db) {
 TEST(OracleSearch, ThresholdModeBitIdentical) {
   ExpectThresholdBitIdentical(*MakeDatabase(/*attach_oracle=*/true));
   ExpectThresholdBitIdentical(*MakeDatabase(true, LargerGrid()));
+}
+
+/// Same ids and the same score, spatial and textual doubles, in order.
+void ExpectSameItems(const std::vector<ScoredTrajectory>& got,
+                     const std::vector<ScoredTrajectory>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "rank " << i;
+    EXPECT_EQ(got[i].score, want[i].score) << "rank " << i;
+    EXPECT_EQ(got[i].spatial_sim, want[i].spatial_sim) << "rank " << i;
+    EXPECT_EQ(got[i].textual_sim, want[i].textual_sim) << "rank " << i;
+  }
+}
+
+TEST(OracleSearch, AnswersDoNotDependOnRoundSize) {
+  // The termination test and the finisher are sound at any round boundary,
+  // so rounds of any length return the oracle-off and brute-force answers
+  // bit for bit, in top-k and threshold mode.
+  const auto db = MakeDatabase(/*attach_oracle=*/true, LargerGrid());
+  WorkloadOptions wopts;
+  wopts.num_queries = 8;
+  wopts.num_locations = 3;
+  wopts.lambda = 0.6;
+  wopts.k = 10;
+  wopts.seed = 515;
+  auto queries = MakeWorkload(*db, wopts);
+  ASSERT_TRUE(queries.ok());
+  PutLocationsInTheCore(*db->oracle(), &*queries);
+
+  UotsSearchOptions without;
+  without.use_oracle = false;
+  UotsSearcher off(*db, without);
+  auto bf = CreateAlgorithm(*db, AlgorithmKind::kBruteForce);
+  for (const int batch : {1, 7, 64, 1000}) {
+    SCOPED_TRACE(batch);
+    UotsSearchOptions with;
+    with.batch_size = batch;
+    UotsSearcher on(*db, with);
+    for (const UotsQuery& q : *queries) {
+      auto r_on = on.Search(q);
+      auto r_off = off.Search(q);
+      auto r_bf = bf->Search(q);
+      ASSERT_TRUE(r_on.ok() && r_off.ok() && r_bf.ok());
+      ExpectSameItems(r_on->items, r_off->items);
+      ExpectSameItems(r_on->items, r_bf->items);
+      EXPECT_GT(r_on->stats.oracle_lookups, 0);
+
+      // Brute force over every trajectory, cut at theta, is the threshold
+      // reference: both sort by (score desc, id asc).
+      UotsQuery all = q;
+      all.k = static_cast<int>(db->store().size());
+      auto r_all = bf->Search(all);
+      ASSERT_TRUE(r_all.ok());
+      for (const double theta : {0.3, 0.6}) {
+        SCOPED_TRACE(theta);
+        auto t_on = on.SearchThreshold(q, theta);
+        auto t_off = off.SearchThreshold(q, theta);
+        ASSERT_TRUE(t_on.ok() && t_off.ok());
+        ExpectSameItems(t_on->items, t_off->items);
+        std::vector<ScoredTrajectory> want;
+        for (const ScoredTrajectory& it : r_all->items) {
+          if (it.score >= theta) want.push_back(it);
+        }
+        ExpectSameItems(t_on->items, want);
+      }
+    }
+  }
+}
+
+TEST(OracleSearch, EveryRoundSettlesAtMostOneBatch) {
+  // With the oracle on, every expansion round settles at most batch_size
+  // vertices, so the termination test and the finisher run within one batch
+  // of the point where they can stop the search. 2,000 trips on the 40x40
+  // grid grow the partly scanned set well past 4 x 64 states, where the
+  // oracle-off rounds lengthen (max(batch_size, |partial| / 4) settles).
+  const auto db =
+      MakeDatabase(/*attach_oracle=*/true, LargerGrid(), /*num_trajectories=*/2000);
+  WorkloadOptions wopts;
+  wopts.num_queries = 12;
+  wopts.num_locations = 5;
+  wopts.lambda = 0.5;
+  wopts.k = 10;
+  wopts.seed = 301;
+  auto queries = MakeWorkload(*db, wopts);
+  ASSERT_TRUE(queries.ok());
+  PutLocationsInTheCore(*db->oracle(), &*queries);
+
+  const UotsSearchOptions with;  // oracle on, 64-settle rounds
+  UotsSearchOptions without;
+  without.use_oracle = false;
+  UotsSearcher on(*db, with);
+  UotsSearcher off(*db, without);
+  int64_t on_settled = 0;
+  int64_t off_rounds_over_batch = 0;
+  for (const UotsQuery& q : *queries) {
+    auto r_on = on.Search(q);
+    auto t_on = on.SearchThreshold(q, 0.5);
+    auto r_off = off.Search(q);
+    ASSERT_TRUE(r_on.ok() && t_on.ok() && r_off.ok());
+    for (const QueryStats* s : {&r_on->stats, &t_on->stats}) {
+      EXPECT_LE(s->settled_vertices, s->schedule_steps * with.batch_size);
+      on_settled += s->settled_vertices;
+    }
+    if (r_off->stats.settled_vertices >
+        r_off->stats.schedule_steps * without.batch_size) {
+      ++off_rounds_over_batch;
+    }
+  }
+  // Settle counts are deterministic: 14,784 here, against 24,339 when
+  // oracle-mode rounds grew with the partly scanned set up to 1,024.
+  EXPECT_LT(on_settled, 18000);
+  // The oracle-off growth rule is untouched: its rounds outgrow the batch.
+  EXPECT_GT(off_rounds_over_batch, 0);
 }
 
 TEST(OracleSearch, NoOracleAttachedFallsBackCleanly) {
